@@ -21,9 +21,9 @@ SRP_STATISTIC(NumCacheMisses, "analysis", "cache-misses",
 SRP_STATISTIC(NumInvalidations, "analysis", "invalidations",
               "Cached analyses dropped by invalidation");
 SRP_STATISTIC(NumCFGEditEvents, "analysis", "cfg-edit-events",
-              "CFG change notifications received from CFGEdit");
+              "Cached analyses retired because the CFG epoch moved");
 SRP_STATISTIC(NumSSAEditEvents, "analysis", "ssa-edit-events",
-              "SSA edit notifications received from the SSA updater");
+              "Cached analyses retired because the body epoch moved");
 SRP_STATISTIC(NumDominatorsBuilt, "analysis", "dominators-built",
               "Dominator trees constructed");
 SRP_STATISTIC(NumIntervalsBuilt, "analysis", "intervals-built",
@@ -65,6 +65,15 @@ const char *srp::analysisKindName(AnalysisKind K) {
 
 namespace {
 
+/// Whether cached entries of \p K are built from F's CFG / body epoch.
+bool readsCFG(AnalysisKind K) {
+  return K != AnalysisKind::MemorySSA && K != AnalysisKind::Profile;
+}
+bool readsBody(AnalysisKind K) {
+  return K == AnalysisKind::Liveness || K == AnalysisKind::Bytecode ||
+         K == AnalysisKind::NativeCode;
+}
+
 Statistic *buildCounterFor(AnalysisKind K) {
   switch (K) {
   case AnalysisKind::Dominators:
@@ -94,15 +103,10 @@ bool cacheDisabledByEnv() {
 
 } // namespace
 
-AnalysisManager::AnalysisManager(Module *M)
-    : M(M), CachingEnabled(!cacheDisabledByEnv()) {
-  addIRChangeListener(this);
-}
+AnalysisManager::AnalysisManager(Module *)
+    : CachingEnabled(!cacheDisabledByEnv()) {}
 
-AnalysisManager::~AnalysisManager() {
-  removeIRChangeListener(this);
-  clear();
-}
+AnalysisManager::~AnalysisManager() { clear(); }
 
 const AnalysisManager::Slot *
 AnalysisManager::findSlot(const Function &F, AnalysisKind K) const {
@@ -112,9 +116,47 @@ AnalysisManager::findSlot(const Function &F, AnalysisKind K) const {
   return &It->second.Slots[static_cast<unsigned>(K)];
 }
 
+AnalysisManager::Epochs AnalysisManager::epochsOf(const Function &F) {
+  return {F.cfgEpoch(), F.bodyEpoch()};
+}
+
+bool AnalysisManager::isStale(const Slot &S, const Function &F,
+                              AnalysisKind K, bool *CFGMoved) {
+  const bool CFG = readsCFG(K) && S.At.CFG != F.cfgEpoch();
+  if (CFGMoved)
+    *CFGMoved = CFG;
+  return CFG || (readsBody(K) && S.At.Body != F.bodyEpoch());
+}
+
 bool AnalysisManager::isCached(Function &F, AnalysisKind K) const {
   const Slot *S = findSlot(F, K);
-  return S && S->Ptr;
+  return S && S->Ptr && !isStale(*S, F, K);
+}
+
+void *AnalysisManager::lookup(Function &F, AnalysisKind K) {
+  Slot &S = slot(F, K);
+  if (!S.Ptr)
+    return nullptr;
+  bool CFGMoved;
+  if (isStale(S, F, K, &CFGMoved)) {
+    retire(S);
+    ++Stats.Invalidations;
+    ++NumInvalidations;
+    if (CFGMoved) {
+      ++Stats.CFGEditEvents;
+      ++NumCFGEditEvents;
+    } else {
+      ++Stats.SSAEditEvents;
+      ++NumSSAEditEvents;
+    }
+    return nullptr;
+  }
+  if (!CachingEnabled) {
+    retire(S); // forced-miss mode: supersede, keep the old instance alive
+    return nullptr;
+  }
+  recordHit(K);
+  return S.Ptr;
 }
 
 uint64_t AnalysisManager::generation(Function &F, AnalysisKind K) const {
@@ -261,39 +303,6 @@ const ProfileInfo &AnalysisManager::executionProfile() {
   ExecProfile = std::move(PI);
   ++ProfileGen;
   return *ExecProfile;
-}
-
-void AnalysisManager::cfgChanged(Function &F) {
-  if (M && F.parent() != M)
-    return;
-  ++Stats.CFGEditEvents;
-  ++NumCFGEditEvents;
-  // Edge splitting / pred redirection moves blocks and edges: dominators
-  // (and everything derived from them), liveness and the decoded bytecode
-  // (block indices, branch targets, phi copy lists) are stale. Memory SSA
-  // survives — CFGEdit maintains memory-phi incoming lists itself — and
-  // the execution profile is block-keyed, so existing blocks keep their
-  // measured frequencies (new blocks report 0, which is conservative).
-  invalidate(F, PreservedAnalyses::all()
-                    .abandon(AnalysisKind::Dominators)
-                    .abandon(AnalysisKind::Liveness)
-                    .abandon(AnalysisKind::Bytecode)
-                    .abandon(AnalysisKind::NativeCode));
-}
-
-void AnalysisManager::ssaEdited(Function &F) {
-  if (M && F.parent() != M)
-    return;
-  ++Stats.SSAEditEvents;
-  ++NumSSAEditEvents;
-  // In-place SSA edits (phi insertion, use renaming) change live ranges
-  // but no CFG edge, and the memory-SSA chains are exactly what the
-  // updater keeps consistent. Decoded bytecode bakes operand slots and
-  // instruction streams, so any instruction-level edit retires it.
-  invalidate(F, PreservedAnalyses::all()
-                    .abandon(AnalysisKind::Liveness)
-                    .abandon(AnalysisKind::Bytecode)
-                    .abandon(AnalysisKind::NativeCode));
 }
 
 std::string srp::analysisCacheStatsToJson(const AnalysisCacheStats &S,

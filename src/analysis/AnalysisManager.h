@@ -11,21 +11,23 @@
 /// liveness; before this layer every client recomputed them ad hoc (the
 /// same dominator tree was built up to five times per function per run).
 ///
-/// Three mechanisms keep the cache sound:
+/// Two mechanisms keep the cache sound:
 ///
-///  1. `PreservedAnalyses` — every function pass run under the pass
-///     manager returns the set of analyses it kept valid; everything else
-///     is invalidated for that function (see pipeline/PassManager.h).
-///  2. The `IRChangeListener` hook (ir/CFGEdit.h) — CFG surgery
-///     (`splitEdge`, `redirectPredsToNewBlock`) and the incremental SSA
-///     updater report edits as they happen, so transforms that mutate the
-///     CFG mid-pass (canonicalisation's fixpoint, superblock tail
-///     splitting) invalidate precisely instead of wholesale.
-///  3. Retire-don't-free — invalidated analysis instances are moved to a
+///  1. Edit epochs — every Function carries a CFG epoch and a body epoch
+///     that the IR mutators move (ir/Function.h). Each cached entry
+///     records the epochs it was built at, and a lookup treats a moved
+///     epoch the entry reads as a miss. Dominators, intervals and static
+///     frequency read the CFG epoch; liveness, bytecode and native code
+///     read both; memory SSA (kept current in place by its updaters) and
+///     the profile read neither. No pass has to report what it changed.
+///  2. Retire-don't-free — out-of-date analysis instances are moved to a
 ///     graveyard owned by the manager and released only by `clear()` (or
 ///     destruction), so snapshots taken before a mutation remain *alive*
 ///     (readable, never dangling) while `AnalysisHandle::stale()` reports
 ///     that they are out of date.
+///
+/// `invalidate()` drops entries explicitly, for callers that want a
+/// rebuild although no epoch moved.
 ///
 /// Analyses register through `AnalysisTraits<T>` specialisations declared
 /// in their own headers (memory SSA in ssa/, liveness in regalloc/, ...),
@@ -45,7 +47,6 @@
 
 #include "analysis/Dominators.h"
 #include "analysis/Intervals.h"
-#include "ir/CFGEdit.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
 #include <array>
@@ -81,11 +82,10 @@ inline constexpr unsigned NumAnalysisKinds = 8;
 /// Short stable spelling used in statistics and JSON ("dominators", ...).
 const char *analysisKindName(AnalysisKind K);
 
-/// The set of analyses a pass kept valid, returned by every function pass.
-/// Start from all() or none() and chain preserve()/abandon(). Invalidation
-/// through a preserved-set is still dependency-aware: abandoning
-/// Dominators takes Intervals and StaticFrequency with it (see
-/// AnalysisManager::invalidate).
+/// A set of analyses to keep, for explicit AnalysisManager::invalidate
+/// calls. Start from all() or none() and chain preserve()/abandon().
+/// Invalidation through a preserved-set is dependency-aware: abandoning
+/// Dominators takes Intervals and StaticFrequency with it.
 class PreservedAnalyses {
   unsigned Mask = 0; // bit set = preserved
   static constexpr unsigned AllMask = (1u << NumAnalysisKinds) - 1;
@@ -110,13 +110,6 @@ public:
     return Mask & (1u << static_cast<unsigned>(K));
   }
   bool areAllPreserved() const { return Mask == AllMask; }
-  bool areNonePreserved() const { return Mask == 0; }
-
-  /// Keeps only what both sets preserve (sequencing two transforms).
-  PreservedAnalyses &intersect(const PreservedAnalyses &O) {
-    Mask &= O.Mask;
-    return *this;
-  }
 };
 
 class AnalysisManager;
@@ -134,8 +127,8 @@ struct AnalysisCacheStats {
   uint64_t Hits = 0;
   uint64_t Misses = 0;
   uint64_t Invalidations = 0;   ///< Slots actually dropped (cached only).
-  uint64_t CFGEditEvents = 0;   ///< cfgChanged notifications received.
-  uint64_t SSAEditEvents = 0;   ///< ssaEdited notifications received.
+  uint64_t CFGEditEvents = 0;   ///< Entries retired: the CFG epoch moved.
+  uint64_t SSAEditEvents = 0;   ///< Entries retired: only the body epoch moved.
   std::array<uint64_t, NumAnalysisKinds> Builds{}; ///< Constructions by kind.
 
   uint64_t builds(AnalysisKind K) const {
@@ -160,8 +153,9 @@ std::string analysisCacheStatsToJson(const AnalysisCacheStats &S,
                                      unsigned Indent = 0);
 
 /// A checked reference to a cached analysis: remembers the slot generation
-/// at acquisition time, so consumers holding results across a mutation can
-/// detect staleness instead of silently reading outdated structure. The
+/// at acquisition time and checks the function's edit epochs, so consumers
+/// holding results across a mutation can detect staleness instead of
+/// silently reading outdated structure. The
 /// pointee stays alive (retire-don't-free) until AnalysisManager::clear(),
 /// but get() refuses to hand it out once stale.
 template <class T> class AnalysisHandle {
@@ -190,14 +184,14 @@ public:
 };
 
 /// The cache itself. One instance per pipeline run (single-threaded, like
-/// the pass manager); registers itself as an IRChangeListener for its
-/// lifetime so IR edits on this thread invalidate the right entries.
-class AnalysisManager final : public IRChangeListener {
+/// the pass manager). Entries are keyed by function, so edits to another
+/// module's functions never touch them.
+class AnalysisManager {
 public:
-  /// \p M restricts listener-driven invalidation to functions of one
-  /// module (null accepts any function — fine for single-module use).
+  /// \p M is the module the run serves; it only documents intent, since
+  /// entries are keyed by function.
   explicit AnalysisManager(Module *M = nullptr);
-  ~AnalysisManager() override;
+  ~AnalysisManager();
 
   AnalysisManager(const AnalysisManager &) = delete;
   AnalysisManager &operator=(const AnalysisManager &) = delete;
@@ -209,10 +203,11 @@ public:
   /// Like get(), but wrapped in a staleness-checked handle.
   template <class T> AnalysisHandle<T> getHandle(Function &F);
 
+  /// True if an entry for \p K is cached and current with F's epochs.
   bool isCached(Function &F, AnalysisKind K) const;
 
   /// Generation counter of one slot: bumped on every build and every
-  /// invalidation. Backs AnalysisHandle::stale().
+  /// invalidation. Backs AnalysisHandle::stale() with isCached().
   uint64_t generation(Function &F, AnalysisKind K) const;
 
   //===-- Execution profile (module-wide) ---------------------------------===
@@ -241,8 +236,8 @@ public:
   /// CFG canonicalisation marks functions whose CFG satisfies §4.1
   /// (preheaders exist, no critical interval edges); the IntervalTree
   /// build assigns promotion preheaders only then, because preheader
-  /// assignment asserts canonical shape. The flag survives CFG edits made
-  /// through CFGEdit (edge splitting cannot un-canonicalise: it only adds
+  /// assignment asserts canonical shape. The flag survives CFG edits
+  /// (edge splitting cannot un-canonicalise: it only adds
   /// single-pred/single-succ blocks); clear() resets it.
   void markCanonical(Function &F) { Canonical[&F] = true; }
   bool isCanonical(Function &F) const {
@@ -258,21 +253,21 @@ public:
   /// SRP_DISABLE_ANALYSIS_CACHE is 1.
   void setCachingEnabled(bool Enabled) { CachingEnabled = Enabled; }
 
-  // IRChangeListener: precise invalidation driven by CFGEdit/SSAUpdater.
-  void cfgChanged(Function &F) override;
-  void ssaEdited(Function &F) override;
-
 private:
+  struct Epochs {
+    uint64_t CFG = 0;
+    uint64_t Body = 0;
+  };
   struct Slot {
     void *Ptr = nullptr;
     void (*Destroy)(void *) = nullptr;
     uint64_t Gen = 0; ///< Bumped on build and on invalidation.
+    Epochs At;        ///< F's epochs when the entry was built.
   };
   struct FunctionEntry {
     std::array<Slot, NumAnalysisKinds> Slots{};
   };
 
-  Module *M = nullptr;
   bool CachingEnabled = true;
   std::unordered_map<Function *, FunctionEntry> Cache;
   std::unordered_map<const Function *, bool> Canonical;
@@ -293,6 +288,15 @@ private:
     return Cache[&F].Slots[static_cast<unsigned>(K)];
   }
   const Slot *findSlot(const Function &F, AnalysisKind K) const;
+  static Epochs epochsOf(const Function &F);
+  /// True if an epoch \p K reads moved since \p S was built; \p CFGMoved
+  /// tells which one.
+  static bool isStale(const Slot &S, const Function &F, AnalysisKind K,
+                      bool *CFGMoved = nullptr);
+
+  /// The cached instance of \p K for \p F, or null on a miss. Retires an
+  /// out-of-date entry, and any entry when caching is disabled.
+  void *lookup(Function &F, AnalysisKind K);
 
   /// Moves a live slot's instance to the graveyard and bumps its
   /// generation; no-op for empty slots. Returns true if it was live.
@@ -344,17 +348,10 @@ template <> struct AnalysisTraits<IntervalTree> {
 
 template <class T> T &AnalysisManager::get(Function &F) {
   using Traits = AnalysisTraits<T>;
-  {
-    Slot &S = slot(F, Traits::Kind);
-    if (S.Ptr) {
-      if (CachingEnabled) {
-        recordHit(Traits::Kind);
-        return *static_cast<T *>(S.Ptr);
-      }
-      retire(S); // forced-miss mode: supersede, keep the old instance alive
-    }
-  }
+  if (void *Cached = lookup(F, Traits::Kind))
+    return *static_cast<T *>(Cached);
   recordMiss(Traits::Kind);
+  const Epochs At = epochsOf(F);
   std::unique_ptr<T> Built;
   {
     TraceSpan Span;
@@ -368,6 +365,7 @@ template <class T> T &AnalysisManager::get(Function &F) {
   Slot &S = slot(F, Traits::Kind); // re-fetch: build() may have touched the map
   S.Ptr = Built.release();
   S.Destroy = &destroyAs<T>;
+  S.At = At;
   ++S.Gen;
   return *static_cast<T *>(S.Ptr);
 }
@@ -380,9 +378,8 @@ AnalysisHandle<T> AnalysisManager::getHandle(Function &F) {
 }
 
 template <class T> bool AnalysisHandle<T>::stale() const {
-  if (!Ptr)
-    return true;
-  return AM->generation(*F, AnalysisTraits<T>::Kind) != Gen;
+  constexpr AnalysisKind K = AnalysisTraits<T>::Kind;
+  return !Ptr || AM->generation(*F, K) != Gen || !AM->isCached(*F, K);
 }
 
 } // namespace srp

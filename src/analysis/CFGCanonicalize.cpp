@@ -75,15 +75,13 @@ CanonicalCFG srp::canonicalize(Function &F) {
 }
 
 void srp::canonicalize(Function &F, AnalysisManager &AM) {
-  // ensureVirginEntry edits the CFG with raw block surgery, bypassing the
-  // CFGEdit utilities, so it must report the change itself.
-  if (ensureVirginEntry(F))
-    notifyCFGChanged(F);
+  ensureVirginEntry(F);
 
   while (true) {
     bool Changed = splitAllCriticalEdges(F) > 0;
-    // Splits invalidated the cached trees via the listener; this rebuilds
-    // them once per changed round and reuses them on the final quiet one.
+    // Splits moved the CFG epoch the cached trees were built at; this
+    // rebuilds them once per changed round and reuses them on the final
+    // quiet one.
     IntervalTree &IT = AM.get<IntervalTree>(F);
     Changed |= insertPreheaders(IT);
     if (!Changed)

@@ -37,8 +37,8 @@ struct CanonicalCFG {
 CanonicalCFG canonicalize(Function &F);
 
 /// Cache-aware variant: the fixpoint pulls dominator/interval trees from
-/// \p AM (edge splits invalidate them through the IRChangeListener hook,
-/// so unchanged rounds reuse the cached trees) and, on return, \p F is
+/// \p AM (edge splits move F's CFG epoch, which makes them stale, so
+/// unchanged rounds reuse the cached trees) and, on return, \p F is
 /// marked canonical in the manager — from then on every IntervalTree
 /// rebuild assigns promotion preheaders. The cached trees are current
 /// when this returns; clients fetch them with AM.get<>().

@@ -6,6 +6,7 @@
 
 #include "frontend/Lexer.h"
 #include <cctype>
+#include <charconv>
 #include <unordered_map>
 
 using namespace srp;
@@ -129,7 +130,13 @@ std::vector<Token> srp::lex(const std::string &Source,
       while (I < E && std::isdigit(static_cast<unsigned char>(Source[I])))
         ++I;
       Token T{TokKind::IntLit, "", 0, Line};
-      T.IntValue = std::stoll(Source.substr(Start, I - Start));
+      if (std::from_chars(Source.data() + Start, Source.data() + I,
+                          T.IntValue)
+              .ec != std::errc())
+        Errors.push_back("line " + std::to_string(Line) +
+                         ": integer literal '" +
+                         Source.substr(Start, I - Start) +
+                         "' is out of range");
       Toks.push_back(T);
       continue;
     }

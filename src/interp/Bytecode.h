@@ -18,8 +18,8 @@
 ///
 /// Decoding is registered as an AnalysisManager analysis
 /// (AnalysisKind::Bytecode), so the profile run and the post-promotion
-/// measurement of an *unchanged* function share one decode; any CFG or SSA
-/// edit notification retires the decoded form.
+/// measurement of an *unchanged* function share one decode; an edit that
+/// moves either of the function's edit epochs retires the decoded form.
 ///
 /// The decoder also proves, via the dominator tree, that every register
 /// use is reached by its definition. Functions that fail the proof (only

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "ir/BasicBlock.h"
+#include "ir/Function.h"
 #include <algorithm>
 
 using namespace srp;
@@ -15,7 +16,7 @@ Instruction *BasicBlock::append(std::unique_ptr<Instruction> I) {
   Insts.push_back(std::move(I));
   Raw->Parent = this;
   Raw->SelfIt = std::prev(Insts.end());
-  OrderValid = false;
+  noteInsertOrRemove(Raw);
   return Raw;
 }
 
@@ -26,7 +27,7 @@ Instruction *BasicBlock::insertBefore(Instruction *Pos,
   auto It = Insts.insert(Pos->SelfIt, std::move(I));
   Raw->Parent = this;
   Raw->SelfIt = It;
-  OrderValid = false;
+  noteInsertOrRemove(Raw);
   return Raw;
 }
 
@@ -37,7 +38,7 @@ Instruction *BasicBlock::insertAfter(Instruction *Pos,
   auto It = Insts.insert(std::next(Pos->SelfIt), std::move(I));
   Raw->Parent = this;
   Raw->SelfIt = It;
-  OrderValid = false;
+  noteInsertOrRemove(Raw);
   return Raw;
 }
 
@@ -46,7 +47,7 @@ Instruction *BasicBlock::prepend(std::unique_ptr<Instruction> I) {
   Insts.push_front(std::move(I));
   Raw->Parent = this;
   Raw->SelfIt = Insts.begin();
-  OrderValid = false;
+  noteInsertOrRemove(Raw);
   return Raw;
 }
 
@@ -70,7 +71,7 @@ std::unique_ptr<Instruction> BasicBlock::remove(Instruction *I) {
   std::unique_ptr<Instruction> Owned = std::move(*I->SelfIt);
   Insts.erase(I->SelfIt);
   I->Parent = nullptr;
-  OrderValid = false;
+  noteInsertOrRemove(I);
   return Owned;
 }
 
@@ -98,14 +99,37 @@ unsigned BasicBlock::indexOf(const Instruction *I) const {
   return static_cast<unsigned>(It - OrderSnapshot.begin());
 }
 
+void BasicBlock::noteInsertOrRemove(const Instruction *I) {
+  OrderValid = false;
+  if (!Parent || isa<MemPhiInst>(I))
+    return;
+  ++Parent->BodyEpoch;
+  if (I->isTerminator())
+    ++Parent->CFGEpoch;
+}
+
+void BasicBlock::noteCFGEdit() {
+  if (Parent)
+    ++Parent->CFGEpoch;
+}
+
+void BasicBlock::addPred(BasicBlock *BB) {
+  Preds.push_back(BB);
+  noteCFGEdit();
+}
+
 void BasicBlock::removePred(BasicBlock *BB) {
   auto It = std::find(Preds.begin(), Preds.end(), BB);
   assert(It != Preds.end() && "predecessor not found");
   Preds.erase(It);
+  noteCFGEdit();
 }
 
 void BasicBlock::replacePred(BasicBlock *Old, BasicBlock *New) {
   auto It = std::find(Preds.begin(), Preds.end(), Old);
   assert(It != Preds.end() && "predecessor not found");
+  if (Old == New)
+    return;
   *It = New;
+  noteCFGEdit();
 }

@@ -7,7 +7,8 @@
 /// \file
 /// A single-entry single-exit sequence of instructions ending in exactly one
 /// terminator. Successors derive from the terminator; predecessor lists are
-/// maintained by the CFG editing utilities (ir/CFGEdit.h).
+/// maintained by the CFG editing utilities (ir/CFGEdit.h). Every mutator
+/// here moves the parent function's edit epochs (ir/Function.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +36,11 @@ class BasicBlock {
   /// insertions.
   mutable std::vector<const Instruction *> OrderSnapshot;
   mutable bool OrderValid = false;
+
+  /// Bookkeeping for an insertion or removal of \p I: drops the ordering
+  /// cache and moves the parent's epochs.
+  void noteInsertOrRemove(const Instruction *I);
+  void noteCFGEdit();
 
 public:
   using iterator = std::list<std::unique_ptr<Instruction>>::iterator;
@@ -99,7 +105,7 @@ public:
   unsigned numPreds() const { return static_cast<unsigned>(Preds.size()); }
 
   /// Predecessor list maintenance; used by CFG edit utilities only.
-  void addPred(BasicBlock *BB) { Preds.push_back(BB); }
+  void addPred(BasicBlock *BB);
   void removePred(BasicBlock *BB);
   void replacePred(BasicBlock *Old, BasicBlock *New);
 

@@ -10,36 +10,6 @@
 
 using namespace srp;
 
-namespace {
-/// Per-thread listener list (see the threading note in CFGEdit.h). Kept as
-/// a plain vector: registration is rare and notification walks it in
-/// registration order.
-thread_local std::vector<IRChangeListener *> Listeners;
-} // namespace
-
-IRChangeListener::~IRChangeListener() = default;
-
-void IRChangeListener::ssaEdited(Function &) {}
-
-void srp::addIRChangeListener(IRChangeListener *L) {
-  Listeners.push_back(L);
-}
-
-void srp::removeIRChangeListener(IRChangeListener *L) {
-  Listeners.erase(std::remove(Listeners.begin(), Listeners.end(), L),
-                  Listeners.end());
-}
-
-void srp::notifyCFGChanged(Function &F) {
-  for (IRChangeListener *L : Listeners)
-    L->cfgChanged(F);
-}
-
-void srp::notifySSAEdited(Function &F) {
-  for (IRChangeListener *L : Listeners)
-    L->ssaEdited(F);
-}
-
 bool srp::isCriticalEdge(const BasicBlock *From, const BasicBlock *To) {
   const Instruction *T = From->terminator();
   assert(T && "source block not terminated");
@@ -70,7 +40,6 @@ BasicBlock *srp::splitEdge(BasicBlock *From, BasicBlock *To) {
         MP->setIncomingBlock(static_cast<unsigned>(Idx), Mid);
     }
   }
-  notifyCFGChanged(*F);
   return Mid;
 }
 
@@ -157,6 +126,5 @@ srp::redirectPredsToNewBlock(BasicBlock *To,
       }
     }
   }
-  notifyCFGChanged(*F);
   return New;
 }

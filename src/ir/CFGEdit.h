@@ -21,37 +21,6 @@ namespace srp {
 class BasicBlock;
 class Function;
 
-/// Observer for in-place IR mutations performed by the editing utilities.
-/// The cached-analysis layer (analysis/AnalysisManager.h) subscribes so
-/// that CFG surgery invalidates exactly the analyses it makes stale,
-/// instead of clients conservatively recomputing everything.
-///
-/// The listener registry is thread-local: a listener only sees edits made
-/// on the thread that registered it. This matches the pipeline's threading
-/// model (one pipeline, one analysis manager, one thread) and makes
-/// notification lock-free under the parallel workload driver.
-class IRChangeListener {
-public:
-  virtual ~IRChangeListener();
-  /// The CFG shape of \p F changed: a block was inserted on an edge,
-  /// predecessors were redirected, or the entry was replaced.
-  virtual void cfgChanged(Function &F) = 0;
-  /// SSA form of \p F was edited in place (phis inserted or removed, uses
-  /// renamed) without touching any CFG edge. Fired by the SSA updater.
-  virtual void ssaEdited(Function &F);
-};
-
-/// Registers / unregisters \p L on the current thread's listener list.
-void addIRChangeListener(IRChangeListener *L);
-void removeIRChangeListener(IRChangeListener *L);
-
-/// Reports an edit to every listener registered on this thread. The CFG
-/// editing utilities below call notifyCFGChanged themselves; transforms
-/// that mutate the CFG through raw Function/BasicBlock surgery must call
-/// it manually.
-void notifyCFGChanged(Function &F);
-void notifySSAEdited(Function &F);
-
 /// True if From->To has multiple successors at the source and multiple
 /// predecessors at the target (§4.1's critical edge definition).
 bool isCriticalEdge(const BasicBlock *From, const BasicBlock *To);

@@ -21,6 +21,7 @@ BasicBlock *Function::createBlock(std::string BBName) {
     BBName = "bb" + std::to_string(NextBlockNumber++);
   Blocks.push_back(std::make_unique<BasicBlock>(std::move(BBName)));
   Blocks.back()->Parent = this;
+  ++CFGEpoch;
   return Blocks.back().get();
 }
 
@@ -34,6 +35,7 @@ BasicBlock *Function::createBlockAfter(BasicBlock *After, std::string BBName) {
   New->Parent = this;
   BasicBlock *Raw = New.get();
   Blocks.insert(std::next(It), std::move(New));
+  ++CFGEpoch;
   return Raw;
 }
 
@@ -49,13 +51,17 @@ void Function::eraseBlock(BasicBlock *BB) {
                          [&](const auto &B) { return B.get() == BB; });
   assert(It != Blocks.end() && "block not in this function");
   Blocks.erase(It);
+  ++CFGEpoch;
 }
 
 void Function::makeEntry(BasicBlock *BB) {
   auto It = std::find_if(Blocks.begin(), Blocks.end(),
                          [&](const auto &B) { return B.get() == BB; });
   assert(It != Blocks.end() && "block not in this function");
+  if (It == Blocks.begin())
+    return;
   Blocks.splice(Blocks.begin(), Blocks, It);
+  ++CFGEpoch;
 }
 
 std::vector<BasicBlock *> Function::blocks() const {

@@ -24,6 +24,9 @@ namespace srp {
 class Module;
 
 class Function {
+  friend class BasicBlock;
+  friend class Instruction;
+
   std::string Name;
   Type RetTy;
   Module *Parent;
@@ -37,6 +40,8 @@ class Function {
   std::unordered_map<const MemoryObject *, MemoryName *> EntryNames;
   unsigned NextValueNumber = 0;
   unsigned NextBlockNumber = 0;
+  uint64_t CFGEpoch = 0;
+  uint64_t BodyEpoch = 0;
 
 public:
   using iterator = std::list<std::unique_ptr<BasicBlock>>::iterator;
@@ -130,6 +135,21 @@ public:
 
   /// Returns a fresh unique value name with the given prefix ("%t42").
   std::string uniqueValueName(const char *Prefix = "t");
+
+  //===--------------------------------------------------------------------===
+  // Edit epochs: the IR mutators move them whenever an edit changes
+  // something; cached analyses (analysis/AnalysisManager.h) compare them
+  // with the epochs they were built at.
+  //===--------------------------------------------------------------------===
+
+  /// Moves when the block list, a terminator's successors or a
+  /// predecessor list changes.
+  uint64_t cfgEpoch() const { return CFGEpoch; }
+  /// Moves when an instruction other than a memory phi is inserted or
+  /// removed, or a register operand or phi incoming block changes.
+  /// Memory-SSA annotations (mu/chi operands, memory phis, memory names)
+  /// move neither epoch.
+  uint64_t bodyEpoch() const { return BodyEpoch; }
 };
 
 } // namespace srp

@@ -7,6 +7,7 @@
 #include "ir/IRParser.h"
 #include "ir/Module.h"
 #include <cctype>
+#include <charconv>
 #include <optional>
 #include <sstream>
 #include <unordered_map>
@@ -27,9 +28,13 @@ struct Tok {
 class LineLexer {
   const std::string S; // owned: callers often pass temporaries
   size_t I = 0;
+  std::string BadLiteral;
 
 public:
   explicit LineLexer(std::string S) : S(std::move(S)) {}
+
+  /// The first integer literal outside the int64 range (lexed as 0).
+  const std::string &badLiteral() const { return BadLiteral; }
 
   Tok next() {
     while (I < S.size() && std::isspace(static_cast<unsigned char>(S[I])))
@@ -62,7 +67,10 @@ public:
       while (I < S.size() && std::isdigit(static_cast<unsigned char>(S[I])))
         ++I;
       T.K = Tok::Int;
-      T.IntVal = std::stoll(S.substr(Start, I - Start));
+      if (std::from_chars(S.data() + Start, S.data() + I, T.IntVal).ec !=
+              std::errc() &&
+          BadLiteral.empty())
+        BadLiteral = S.substr(Start, I - Start);
       return T;
     }
     if (std::isalpha(static_cast<unsigned char>(C)) || C == '_') {
@@ -111,6 +119,14 @@ class IRParserImpl {
     Errors.push_back("line " + std::to_string(LineNo) + ": " + Msg);
   }
 
+  std::vector<Tok> tokenize(const std::string &L) {
+    LineLexer Lex(L);
+    std::vector<Tok> T = Lex.all();
+    if (!Lex.badLiteral().empty())
+      error("integer literal '" + Lex.badLiteral() + "' is out of range");
+    return T;
+  }
+
 public:
   explicit IRParserImpl(const std::string &Source,
                         std::vector<std::string> &Errors)
@@ -151,8 +167,7 @@ private:
       std::string L = stripped(Lines[LineNo - 1]);
       if (!startsWith(L, "func "))
         continue;
-      LineLexer Lex(L);
-      std::vector<Tok> T = Lex.all();
+      std::vector<Tok> T = tokenize(L);
       // func <type> @ <name> ( %a , %b ) {
       if (T.size() < 4 || T[1].K != Tok::Word) {
         error("malformed function header");
@@ -204,8 +219,7 @@ private:
   }
 
   void parseGlobal(const std::string &L) {
-    LineLexer Lex(L);
-    std::vector<Tok> T = Lex.all();
+    std::vector<Tok> T = tokenize(L);
     // global <name> = <int>   |   global <name> [ <int> ]
     if (T.size() < 2 || T[1].K != Tok::Word) {
       error("malformed global");
@@ -238,8 +252,7 @@ private:
   /// Parses the body between the current "func ... {" line and its "}".
   void parseFunctionBody() {
     // Re-lex the header to find the function (already declared).
-    LineLexer Lex(stripped(Lines[LineNo - 1]));
-    std::vector<Tok> T = Lex.all();
+    std::vector<Tok> T = tokenize(stripped(Lines[LineNo - 1]));
     size_t Idx = 2;
     if (T[Idx].K == Tok::Punct && T[Idx].P == '@')
       ++Idx;
@@ -414,8 +427,7 @@ private:
   }
 
   void parseInstruction(const std::string &L, BasicBlock *BB) {
-    LineLexer Lex(L);
-    std::vector<Tok> T = Lex.all();
+    std::vector<Tok> T = tokenize(L);
     dropMuChi(T);
     if (T.empty())
       return; // pure annotation line

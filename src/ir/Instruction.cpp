@@ -68,10 +68,21 @@ Function *Instruction::function() const {
   return Parent ? Parent->parent() : nullptr;
 }
 
+void Instruction::noteBodyEdit() {
+  if (Function *F = function())
+    ++F->BodyEpoch;
+}
+
+void Instruction::noteCFGEdit() {
+  if (Function *F = function())
+    ++F->CFGEpoch;
+}
+
 void Instruction::addOperand(Value *V) {
   assert(V && "null operand");
   Ops.push_back(V);
   V->addUse(Use{this, static_cast<unsigned>(Ops.size() - 1), false});
+  noteBodyEdit();
 }
 
 void Instruction::setOperand(unsigned I, Value *V) {
@@ -82,6 +93,7 @@ void Instruction::setOperand(unsigned I, Value *V) {
   Ops[I]->removeUse(Use{this, I, false});
   Ops[I] = V;
   V->addUse(Use{this, I, false});
+  noteBodyEdit();
 }
 
 void Instruction::removeOperand(unsigned I) {
@@ -94,6 +106,7 @@ void Instruction::removeOperand(unsigned I) {
     Ops[J - 1]->addUse(Use{this, J - 1, false});
   }
   Ops.pop_back();
+  noteBodyEdit();
 }
 
 void Instruction::setMemOperand(unsigned I, MemoryName *N) {
@@ -219,15 +232,21 @@ int PhiInst::indexOfBlock(const BasicBlock *BB) const {
 void BrInst::replaceSuccessor([[maybe_unused]] BasicBlock *Old,
                               BasicBlock *New) {
   assert(Target == Old && "successor not found");
+  if (Target == New)
+    return;
   Target = New;
+  noteCFGEdit();
 }
 
 void CondBrInst::replaceSuccessor(BasicBlock *Old, BasicBlock *New) {
   assert((TrueBB == Old || FalseBB == Old) && "successor not found");
+  if (Old == New)
+    return;
   if (TrueBB == Old)
     TrueBB = New;
   if (FalseBB == Old)
     FalseBB = New;
+  noteCFGEdit();
 }
 
 void MemPhiInst::removeIncoming(unsigned I) {

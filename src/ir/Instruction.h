@@ -15,6 +15,10 @@
 /// Phi instructions (register and memory) additionally carry incoming block
 /// lists parallel to their operand lists.
 ///
+/// Edits to Ops, to register-phi incoming blocks and to successors move the
+/// parent function's edit epochs (ir/Function.h); edits to MemOps, MemDefs
+/// and memory-phi incoming blocks are memory-SSA annotations and move none.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SRP_IR_INSTRUCTION_H
@@ -74,6 +78,11 @@ protected:
 
   /// Removes the register operand at index \p I (shifts the rest down).
   void removeOperand(unsigned I);
+
+  /// Move the enclosing function's body / CFG epoch (no-ops while the
+  /// instruction is not in a function).
+  void noteBodyEdit();
+  void noteCFGEdit();
 
 public:
   ~Instruction() override;
@@ -241,7 +250,10 @@ public:
   }
   void setIncomingBlock(unsigned I, BasicBlock *BB) {
     assert(I < Blocks.size() && "incoming index out of range");
+    if (Blocks[I] == BB)
+      return;
     Blocks[I] = BB;
+    noteBodyEdit();
   }
   /// Removes the incoming pair at index \p I.
   void removeIncoming(unsigned I);

@@ -45,8 +45,7 @@ void PassManager::addFunctionPass(std::string Name, FunctionPassFn Fn) {
                                             std::vector<std::string> &Errors) {
             const size_t Before = Errors.size();
             for (const auto &F : M.functions()) {
-              PreservedAnalyses PA = Fn(*F, AM, Errors);
-              AM.invalidate(*F, PA);
+              Fn(*F, AM, Errors);
               if (Errors.size() > Before)
                 return false;
             }
@@ -81,19 +80,18 @@ bool PassManager::run(Module &M, AnalysisManager &AM,
     Rec.Ran = true;
     ++NumPassesRun;
 
-    // At Full and above, keep the pre-pass text of every function: it
-    // detects which functions a pass touched (only those are
+    // At Semantic, keep the pre-pass text of every function: it detects
+    // which functions a pass touched (only those are
     // translation-validated) and lets a failure dump show the IR the pass
-    // started from next to what it produced.
+    // started from next to what it produced. Also snapshot the module
+    // itself and collect the pass's promoted-web reports for the
+    // post-pass cross-check.
     std::unordered_map<std::string, std::string> PreText;
-    if (Level >= Strictness::Full)
-      for (const auto &F : M.functions())
-        PreText.emplace(F->name(), toString(*F));
-    // At Semantic, additionally snapshot the module itself and collect
-    // the pass's promoted-web reports for the post-pass cross-check.
     std::unique_ptr<Module> PreClone;
     validation::WebLedger Ledger;
     if (Level >= Strictness::Semantic) {
+      for (const auto &F : M.functions())
+        PreText.emplace(F->name(), toString(*F));
       ScopedTimer T(VStats.Validation.WallSeconds);
       PreClone = cloneModule(M);
     }
@@ -119,9 +117,9 @@ bool PassManager::run(Module &M, AnalysisManager &AM,
     }
 
     // At Full strictness and above (the fuzz sweep's setting) a failure
-    // also dumps the offending functions — the IR the pass started from
-    // and what it left behind — so a seed failure is diagnosable from the
-    // error list alone.
+    // also dumps what the pass left behind in the offending functions —
+    // and, at Semantic, the IR it started from — so a seed failure is
+    // diagnosable from the error list alone.
     auto DumpBroken = [&](const std::unordered_set<std::string> &BrokenFns) {
       if (Level < Strictness::Full)
         return;

@@ -23,10 +23,9 @@
 ///
 /// Passes receive the run's AnalysisManager and pull dominators, interval
 /// trees, memory SSA, profiles and liveness from it instead of rebuilding
-/// them. A function pass returns the PreservedAnalyses set it kept valid;
-/// the manager invalidates the rest per function. Module passes and the
-/// legacy (Module&, Errors&) form manage invalidation themselves (the
-/// CFGEdit/SSAUpdater notifier hooks cover the common cases).
+/// them. No pass reports what it changed: the IR mutators move each
+/// function's edit epochs, and the manager treats an entry built at an
+/// older epoch as a miss.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,12 +61,13 @@ struct PassManagerOptions {
   /// How deep the between-pass verification digs (see
   /// analysis/StaticAnalysis.h). Fast is the historical verifier; Full
   /// adds the whole-function memory-SSA walks and the L3/L4 canonical and
-  /// promotion invariants, and dumps the IR of every offending function
-  /// on failure (the fuzz sweep runs at Full). Semantic runs everything
-  /// Full runs and additionally translation-validates each pass: the
-  /// manager snapshots the module before the pass and proves the result
-  /// semantically equivalent (analysis/TransValidate.h), cross-checking
-  /// the promoters' web ledger so a promoted-but-unproven web fails hard.
+  /// promotion invariants, and dumps the post-pass IR of every offending
+  /// function on failure (the fuzz sweep runs at Full). Semantic runs
+  /// everything Full runs and additionally translation-validates each
+  /// pass: the manager snapshots the module before the pass and proves the
+  /// result semantically equivalent (analysis/TransValidate.h),
+  /// cross-checking the promoters' web ledger so a promoted-but-unproven
+  /// web fails hard; its failure dumps add the pre-pass IR.
   Strictness VerifyStrictness = Strictness::Fast;
 
   /// The level verification actually runs at.
@@ -98,16 +98,13 @@ public:
   using PassFn = std::function<bool(Module &M, std::vector<std::string> &Errors)>;
 
   /// A module pass: like PassFn but with access to the run's analysis
-  /// cache. Responsible for its own invalidation (usually implicit via
-  /// the IR-change notifier).
+  /// cache.
   using ModulePassFn = std::function<bool(
       Module &M, AnalysisManager &AM, std::vector<std::string> &Errors)>;
 
-  /// A function pass: runs once per function and declares, through its
-  /// return value, which cached analyses it preserved; the pass manager
-  /// invalidates the rest for that function. Report problems by appending
-  /// to \p Errors — any new entry aborts the pipeline.
-  using FunctionPassFn = std::function<PreservedAnalyses(
+  /// A function pass: runs once per function. Report problems by
+  /// appending to \p Errors — any new entry aborts the pipeline.
+  using FunctionPassFn = std::function<void(
       Function &F, AnalysisManager &AM, std::vector<std::string> &Errors)>;
 
   explicit PassManager(PassManagerOptions Opts = {}) : Opts(Opts) {}
@@ -118,8 +115,7 @@ public:
   void addPass(std::string Name, PassFn Fn);
   void addPass(std::string Name, ModulePassFn Fn);
 
-  /// Appends a pass that runs over every function of the module, with
-  /// per-function PreservedAnalyses-driven invalidation.
+  /// Appends a pass that runs over every function of the module.
   void addFunctionPass(std::string Name, FunctionPassFn Fn);
 
   /// Runs every registered pass in order over \p M. Stops at the first

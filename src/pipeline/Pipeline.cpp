@@ -100,12 +100,7 @@ PipelineResult PipelineBuilder::run(std::unique_ptr<Module> M) {
   // -- Common front half: locals to SSA, canonical CFG shape. ------------
   PM.addFunctionPass(
       "mem2reg", [](Function &F, AnalysisManager &AM,
-                    std::vector<std::string> &) {
-        // The AM overload reports the rewrite through the notifier, which
-        // invalidates exactly what went stale (liveness).
-        promoteLocalsToSSA(F, AM);
-        return PreservedAnalyses::all();
-      });
+                    std::vector<std::string> &) { promoteLocalsToSSA(F, AM); });
 
   PM.addPass("canonicalise", PassManager::ModulePassFn(
                                  [&](Module &Mod, AnalysisManager &AM,
@@ -142,7 +137,6 @@ PipelineResult PipelineBuilder::run(std::unique_ptr<Module> M) {
         "memory-ssa", [](Function &F, AnalysisManager &AM,
                          std::vector<std::string> &) {
           AM.get<MemorySSAInfo>(F);
-          return PreservedAnalyses::all();
         });
 
   switch (Opts.Mode) {
@@ -180,13 +174,6 @@ PipelineResult PipelineBuilder::run(std::unique_ptr<Module> M) {
                   " web(s) reported promoted but " +
                   std::to_string(L->size() - LedgerBefore) +
                   " recorded for validation");
-          // Any instruction-level rewrite stales the decoded bytecode the
-          // profile run cached; untouched functions keep their decode (the
-          // promoter's own SSA/CFG edit notifications cover most edits,
-          // but plain load->copy rewrites go through neither hook).
-          const bool Edited = S.LoadsReplaced || S.LoadsInserted ||
-                              S.StoresInserted || S.StoresDeleted ||
-                              S.DummyLoadsInserted || S.RegisterPhisCreated;
           if (CheckDelta) {
             StaticCounts After = countStaticMemOps(F);
             PromotionDeltaExpectation E;
@@ -205,41 +192,27 @@ PipelineResult PipelineBuilder::run(std::unique_ptr<Module> M) {
                 Errors.push_back("promotion ledger mismatch in '" +
                                  F.name() + "': " + D.Message);
           }
-          return Edited ? PreservedAnalyses::all().abandon(
-                              AnalysisKind::Bytecode)
-                        : PreservedAnalyses::all();
         });
     break;
   case PromotionMode::LoopBaseline:
     PM.addFunctionPass(
         "promotion", [&](Function &F, AnalysisManager &AM,
                          std::vector<std::string> &) {
-          LoopPromotionStats S = promoteLoopsBaseline(F, AM);
-          R.Baseline += S;
-          return S.VariablesPromoted
-                     ? PreservedAnalyses::all().abandon(AnalysisKind::Bytecode)
-                     : PreservedAnalyses::all();
+          R.Baseline += promoteLoopsBaseline(F, AM);
         });
     break;
   case PromotionMode::Superblock:
     PM.addFunctionPass(
         "promotion", [&](Function &F, AnalysisManager &AM,
                          std::vector<std::string> &) {
-          SuperblockStats S = promoteSuperblocks(F, AM.executionProfile(), AM);
-          R.Superblock += S;
-          return S.TracesFormed || S.VariablesPromoted
-                     ? PreservedAnalyses::all().abandon(AnalysisKind::Bytecode)
-                     : PreservedAnalyses::all();
+          R.Superblock += promoteSuperblocks(F, AM.executionProfile(), AM);
         });
     break;
   case PromotionMode::MemOptOnly:
     PM.addFunctionPass(
         "promotion", [](Function &F, AnalysisManager &AM,
                         std::vector<std::string> &) {
-          MemoryOptStats S = optimizeMemorySSA(F, AM);
-          return S.total() ? PreservedAnalyses::all().abandon(
-                                 AnalysisKind::Bytecode)
-                           : PreservedAnalyses::all();
+          optimizeMemorySSA(F, AM);
         });
     break;
   }
@@ -251,13 +224,7 @@ PipelineResult PipelineBuilder::run(std::unique_ptr<Module> M) {
     PM.addFunctionPass(
         "cleanup", [](Function &F, AnalysisManager &AM,
                       std::vector<std::string> &) {
-          CleanupStats S = cleanupAfterPromotion(F, AM);
-          const bool Edited = S.DummyLoadsRemoved || S.CopiesPropagated ||
-                              S.DeadInstructionsRemoved ||
-                              S.DeadMemPhisRemoved;
-          return Edited ? PreservedAnalyses::all().abandon(
-                              AnalysisKind::Bytecode)
-                        : PreservedAnalyses::all();
+          cleanupAfterPromotion(F, AM);
         });
 
   // -- Measurement back half. --------------------------------------------
@@ -305,7 +272,6 @@ PipelineResult PipelineBuilder::run(std::unique_ptr<Module> M) {
                     .arg("interference-edges", PR.Edges)
                     .arg("colors-needed", PR.ColorsNeeded)
                     .arg("max-live", PR.MaxLive));
-          return PreservedAnalyses::all();
         });
 
   R.Ok = PM.run(Mod, AMRef, R.Errors) && R.Errors.empty();

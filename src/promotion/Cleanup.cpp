@@ -5,7 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "promotion/Cleanup.h"
-#include "ir/CFGEdit.h"
 #include "ir/Function.h"
 #include "support/Remarks.h"
 #include "support/Statistics.h"
@@ -166,10 +165,6 @@ CleanupStats srp::cleanupAfterPromotion(Function &F) {
   return S;
 }
 
-CleanupStats srp::cleanupAfterPromotion(Function &F, AnalysisManager &AM) {
-  (void)AM; // cleanup consumes no analyses; it only reports edits
-  CleanupStats S = cleanupAfterPromotion(F);
-  if (S.edited())
-    notifySSAEdited(F);
-  return S;
+CleanupStats srp::cleanupAfterPromotion(Function &F, AnalysisManager &) {
+  return cleanupAfterPromotion(F);
 }

@@ -25,14 +25,6 @@ struct CleanupStats {
   unsigned CopiesPropagated = 0;
   unsigned DeadInstructionsRemoved = 0;
   unsigned DeadMemPhisRemoved = 0;
-
-  /// True when the sweep changed the function at all. Callers must treat
-  /// this as an IR edit (cached liveness/bytecode are stale) even when the
-  /// promotion that triggered the sweep itself did nothing.
-  bool edited() const {
-    return DummyLoadsRemoved || CopiesPropagated ||
-           DeadInstructionsRemoved || DeadMemPhisRemoved;
-  }
 };
 
 /// Removes every DummyLoadInst in \p F.
@@ -50,8 +42,8 @@ unsigned removeDeadMemPhis(Function &F);
 /// Runs all of the above in order.
 CleanupStats cleanupAfterPromotion(Function &F);
 
-/// Cache-aware variant: same cleanup, but edits (if any) are reported to
-/// the IR-change notifier so cached liveness goes stale.
+/// The pipeline's spelling of the same cleanup; it consumes no analyses,
+/// and its edits move F's epochs like any other.
 CleanupStats cleanupAfterPromotion(Function &F, AnalysisManager &AM);
 
 } // namespace srp

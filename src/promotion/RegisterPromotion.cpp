@@ -7,7 +7,6 @@
 #include "promotion/RegisterPromotion.h"
 #include "analysis/AnalysisManager.h"
 #include "analysis/Intervals.h"
-#include "ir/CFGEdit.h"
 #include "ir/Function.h"
 #include "promotion/Cleanup.h"
 #include "promotion/SSAWeb.h"
@@ -58,12 +57,7 @@ PromotionStats srp::promoteRegisters(Function &F, const DominatorTree &DT,
       Stats += promoteInWeb(*W, F, DT, PI, Opts);
   }
 
-  // The sweep can edit F even when every web was rejected (it deletes
-  // pre-existing dead instructions too); report that through the IR-change
-  // notifier, or the measurement run replays a stale bytecode decode and
-  // the walk/bytecode engines disagree on dynamic instruction counts.
-  if (cleanupAfterPromotion(F).edited())
-    notifySSAEdited(F);
+  cleanupAfterPromotion(F);
 
   NumWebsConsidered += Stats.WebsConsidered;
   NumWebsPromoted += Stats.WebsPromoted;

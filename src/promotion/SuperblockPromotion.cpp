@@ -300,7 +300,7 @@ SuperblockStats srp::promoteSuperblocks(Function &F, const ProfileInfo &PI,
   AliasInfo AI = AliasInfo::compute(F);
 
   // The snapshotted Interval pointers survive the edge splits promotion
-  // performs: the splits invalidate the cached tree, but the manager
+  // performs: the splits make the cached tree stale, but the manager
   // retires (rather than frees) it, so the snapshot stays readable.
   std::vector<Interval *> Loops;
   for (Interval *Iv : AM.get<IntervalTree>(F).postorder())
@@ -309,8 +309,8 @@ SuperblockStats srp::promoteSuperblocks(Function &F, const ProfileInfo &PI,
 
   SuperblockStats Stats = runOnLoops(F, Loops, PI, AI);
 
-  // The splits above invalidated the cached dominators through the
-  // listener; this pulls a fresh tree for the mem2reg round.
+  // The splits above moved the CFG epoch the cached dominators were built
+  // at; this pulls a fresh tree for the mem2reg round.
   promoteLocalsToSSA(F, AM);
   return Stats;
 }

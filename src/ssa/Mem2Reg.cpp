@@ -8,7 +8,6 @@
 #include "analysis/AnalysisManager.h"
 #include "analysis/Dominators.h"
 #include "analysis/TransValidate.h"
-#include "ir/CFGEdit.h"
 #include "ir/Module.h"
 #include "support/Remarks.h"
 #include "support/Statistics.h"
@@ -134,8 +133,5 @@ unsigned srp::promoteLocalsToSSA(Function &F, const DominatorTree &DT) {
 }
 
 unsigned srp::promoteLocalsToSSA(Function &F, AnalysisManager &AM) {
-  unsigned Count = promoteLocalsToSSA(F, AM.get<DominatorTree>(F));
-  if (Count)
-    notifySSAEdited(F);
-  return Count;
+  return promoteLocalsToSSA(F, AM.get<DominatorTree>(F));
 }

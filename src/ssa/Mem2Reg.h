@@ -28,9 +28,7 @@ class Function;
 /// memory SSA construction.
 unsigned promoteLocalsToSSA(Function &F, const DominatorTree &DT);
 
-/// Cache-aware variant: pulls the dominator tree from \p AM and reports
-/// the rewrite through the IR-change notifier (liveness goes stale; the
-/// CFG and dominators do not).
+/// Cache-aware variant: pulls the dominator tree from \p AM.
 unsigned promoteLocalsToSSA(Function &F, AnalysisManager &AM);
 
 } // namespace srp

@@ -114,6 +114,4 @@ MemoryOptStats srp::optimizeMemorySSA(Function &F, const DominatorTree &DT) {
 MemoryOptStats srp::optimizeMemorySSA(Function &F, AnalysisManager &AM) {
   AM.get<MemorySSAInfo>(F); // no-op when the memory-ssa pass already ran
   return optimizeMemorySSA(F, AM.get<DominatorTree>(F));
-  // Edits go through sweepDeadDefs / in-place rewrites that end in
-  // notifySSAEdited, so no explicit invalidation is needed here.
 }

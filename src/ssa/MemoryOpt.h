@@ -56,7 +56,7 @@ MemoryOptStats eliminateDeadStores(Function &F);
 MemoryOptStats optimizeMemorySSA(Function &F, const DominatorTree &DT);
 
 /// Cache-aware variant: ensures memory SSA is built (via the manager) and
-/// uses the cached dominator tree; edits are reported to the notifier.
+/// uses the cached dominator tree.
 MemoryOptStats optimizeMemorySSA(Function &F, AnalysisManager &AM);
 
 } // namespace srp

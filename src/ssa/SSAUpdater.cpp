@@ -6,7 +6,6 @@
 
 #include "ssa/SSAUpdater.h"
 #include "analysis/Dominators.h"
-#include "ir/CFGEdit.h"
 #include "ir/Function.h"
 #include "support/Statistics.h"
 #include <algorithm>
@@ -183,7 +182,6 @@ SSAUpdateStats srp::sweepDeadDefs(Function &F,
     ++Stats.DefsDeleted;
   }
   F.purgeDeadMemoryNames();
-  notifySSAEdited(F);
   return Stats;
 }
 
@@ -310,7 +308,6 @@ SSAUpdateStats srp::updateSSAForClonedResources(
   NumIDF += Stats.IDFComputations;
   NumPhisInserted += Stats.PhisInserted;
   NumUsesRenamed += Stats.UsesRenamed;
-  notifySSAEdited(F);
   return Stats;
 }
 

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The AnalysisManager contract: hit/miss accounting, dependency-aware
-/// invalidation, listener-driven invalidation from CFG surgery,
+/// invalidation, epoch-driven staleness after CFG surgery,
 /// stale-handle detection, the retire-don't-free lifetime guarantee, the
 /// cache-disable knob, and the differential oracle that a cached pipeline
 /// run is observably identical to an uncached one in every promotion mode.
@@ -106,7 +106,7 @@ TEST(AnalysisManagerTest, DependencyCascadeOnDominatorInvalidation) {
   EXPECT_FALSE(AM.isCached(*F, AnalysisKind::StaticFrequency));
 }
 
-TEST(AnalysisManagerTest, SplitEdgeInvalidatesPreciselyThroughListener) {
+TEST(AnalysisManagerTest, SplitEdgeInvalidatesPreciselyThroughEpochs) {
   Module M;
   Function *F = buildDiamond(M);
   AnalysisManager AM(&M);
@@ -118,9 +118,8 @@ TEST(AnalysisManagerTest, SplitEdgeInvalidatesPreciselyThroughListener) {
 
   BasicBlock *A = F->entry();
   BasicBlock *J = A->succs()[1];
-  splitEdge(A, J); // fires cfgChanged into the manager
+  splitEdge(A, J); // moves F's CFG epoch; nothing tells the manager
 
-  EXPECT_EQ(AM.cacheStats().CFGEditEvents, 1u);
   EXPECT_FALSE(AM.isCached(*F, AnalysisKind::Dominators));
   EXPECT_FALSE(AM.isCached(*F, AnalysisKind::Intervals));
   EXPECT_FALSE(AM.isCached(*F, AnalysisKind::Liveness));
@@ -128,13 +127,17 @@ TEST(AnalysisManagerTest, SplitEdgeInvalidatesPreciselyThroughListener) {
   // survives edge splitting.
   EXPECT_TRUE(AM.isCached(*F, AnalysisKind::MemorySSA));
 
-  // A rebuild after the edit sees the new block.
+  // A rebuild after the edit sees the new block; the stale tree it
+  // replaces is the first entry retired for a moved epoch.
+  EXPECT_EQ(AM.cacheStats().CFGEditEvents, 0u);
   DominatorTree &DT = AM.get<DominatorTree>(*F);
   EXPECT_TRUE(DT.dominates(F->entry(), J));
   EXPECT_EQ(AM.cacheStats().builds(AnalysisKind::Dominators), 2u);
+  EXPECT_EQ(AM.cacheStats().CFGEditEvents, 1u);
+  EXPECT_EQ(AM.cacheStats().builds(AnalysisKind::MemorySSA), 1u);
 }
 
-TEST(AnalysisManagerTest, ListenerIgnoresForeignModules) {
+TEST(AnalysisManagerTest, ForeignModuleEditsLeaveEntriesCached) {
   Module M1, M2;
   Function *F1 = buildDiamond(M1);
   Function *F2 = buildDiamond(M2);
@@ -142,8 +145,10 @@ TEST(AnalysisManagerTest, ListenerIgnoresForeignModules) {
 
   AM.get<DominatorTree>(*F1);
   splitEdge(F2->entry(), F2->entry()->succs()[1]); // other module's function
-  EXPECT_EQ(AM.cacheStats().CFGEditEvents, 0u);
   EXPECT_TRUE(AM.isCached(*F1, AnalysisKind::Dominators));
+  AM.get<DominatorTree>(*F1);
+  EXPECT_EQ(AM.cacheStats().CFGEditEvents, 0u);
+  EXPECT_EQ(AM.cacheStats().builds(AnalysisKind::Dominators), 1u);
 }
 
 TEST(AnalysisManagerTest, StaleHandlesRefuseTheirPointee) {

@@ -47,6 +47,20 @@ TEST(LexerTest, ReportsBadCharacter) {
   EXPECT_NE(Errors[0].find("unexpected character"), std::string::npos);
 }
 
+TEST(LexerTest, ReportsOutOfRangeLiteral) {
+  std::vector<std::string> Errors;
+  auto M = compileMiniC("int main() { return 99999999999999999999; }", Errors);
+  EXPECT_EQ(M, nullptr);
+  ASSERT_EQ(Errors.size(), 1u);
+  EXPECT_EQ(Errors[0], "line 1: integer literal '99999999999999999999' is "
+                       "out of range");
+  // The largest int64 still lexes.
+  Errors.clear();
+  auto Toks = lex("9223372036854775807", Errors);
+  EXPECT_TRUE(Errors.empty());
+  EXPECT_EQ(Toks[0].IntValue, INT64_MAX);
+}
+
 TEST(ParserTest, ParsesGlobalsStructsFunctions) {
   std::vector<std::string> Errors;
   ast::Program P = parseProgram(R"(

@@ -14,7 +14,6 @@
 
 #include "gen/ProgramGen.h"
 #include "pipeline/Pipeline.h"
-#include "RandomProgramGen.h" // the compatibility shim
 #include <gtest/gtest.h>
 
 using namespace srp;
@@ -104,15 +103,5 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, ProfileSanityTest,
     ::testing::Combine(::testing::Range(0u, NumShapeProfiles),
                        ::testing::Values<uint64_t>(3, 11, 27)));
-
-// The old test-tree spelling still works (tests/RandomProgramGen.h shim).
-TEST(GenTest, LegacyShimStillGenerates) {
-  srp::test::GenConfig Cfg;
-  Cfg.MaxFunctions = 2;
-  srp::test::RandomProgramGen Gen(5, Cfg);
-  std::string Src = Gen.generate();
-  EXPECT_NE(Src.find("void main()"), std::string::npos);
-  EXPECT_EQ(Src, srp::gen::ProgramGen(5, Cfg).generate());
-}
 
 } // namespace

@@ -240,6 +240,33 @@ entry:
   EXPECT_NE(Errors[0].find("unknown block"), std::string::npos);
 }
 
+TEST(IRParserTest, ReportsOutOfRangeLiteral) {
+  std::vector<std::string> Errors;
+  auto M = parseIR(R"(
+func int @main() {
+entry:
+  ret 99999999999999999999
+}
+)",
+                   Errors);
+  EXPECT_EQ(M, nullptr);
+  ASSERT_FALSE(Errors.empty());
+  EXPECT_EQ(Errors[0],
+            "line 4: integer literal '99999999999999999999' is out of range");
+  // Both ends of the int64 range still parse.
+  auto Ok = parseOrDie(R"(
+func int @main() {
+entry:
+  %a = add -9223372036854775808, 9223372036854775807
+  ret %a
+}
+)");
+  ASSERT_NE(Ok, nullptr);
+  auto R = Interpreter(*Ok).run();
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.ExitValue, -1);
+}
+
 TEST(IRParserTest, CopiesAndNegativeConstants) {
   auto M = parseOrDie(R"(
 func int @main() {

@@ -4,11 +4,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/AnalysisManager.h"
 #include "ir/CFGEdit.h"
 #include "ir/IRBuilder.h"
 #include "ir/Module.h"
 #include "ir/Printer.h"
+#include "regalloc/Liveness.h"
+#include "ssa/MemorySSA.h"
 #include "TestHelpers.h"
+#include <functional>
 #include <gtest/gtest.h>
 
 using namespace srp;
@@ -207,6 +211,174 @@ TEST(IRTest, VerifierCatchesUseBeforeDef) {
   BA.setInsertPoint(A->terminator());
   BA.print(X);
   EXPECT_FALSE(verify(*F).empty());
+}
+
+//===----------------------------------------------------------------------===
+// Edit epochs: which mutators move which epoch.
+//===----------------------------------------------------------------------===
+
+/// A diamond whose entry->join edge is critical, with a register phi, a
+/// dead multiply, a spare block and memory SSA over one global.
+struct EpochFixture {
+  Module M;
+  MemoryObject *G = M.createGlobal("g", 0);
+  Function *F = M.createFunction("f", Type::Int);
+  BasicBlock *Entry = F->createBlock("entry");
+  BasicBlock *Then = F->createBlock("then");
+  BasicBlock *Join = F->createBlock("join");
+  BasicBlock *Spare = F->createBlock("spare");
+  Argument *A = F->addArgument("a");
+  Instruction *Add = nullptr, *Dead = nullptr;
+  PhiInst *Phi = nullptr;
+  LoadInst *Ld = nullptr;
+
+  EpochFixture() {
+    IRBuilder B(Entry);
+    B.condBr(A, Then, Join);
+    B.setInsertPoint(Then);
+    Add = cast<Instruction>(B.add(A, M.constant(1)));
+    B.store(G, Add);
+    B.br(Join);
+    B.setInsertPoint(Join);
+    Phi = B.phi(Type::Int, "p");
+    Phi->addIncoming(A, Entry);
+    Phi->addIncoming(Add, Then);
+    Dead = cast<Instruction>(B.mul(Phi, M.constant(2)));
+    Ld = B.load(G, "v");
+    B.ret(B.add(Phi, Ld));
+    B.setInsertPoint(Spare);
+    B.ret(M.constant(0));
+    buildMemorySSA(*F, DominatorTree(*F));
+  }
+
+  MemPhiInst *memPhi() const {
+    for (auto &I : *Join)
+      if (auto *MP = dyn_cast<MemPhiInst>(I.get()))
+        return MP;
+    return nullptr;
+  }
+};
+
+struct EpochCase {
+  const char *Name;
+  std::function<void(EpochFixture &)> Edit;
+  bool MovesCFG;
+  bool MovesBody;
+};
+
+TEST(IRTest, MutatorsMoveExactlyTheirEpochs) {
+  const EpochCase Cases[] = {
+      // CFG edits.
+      {"createBlock", [](EpochFixture &X) { X.F->createBlock("x"); }, true,
+       false},
+      {"createBlockAfter",
+       [](EpochFixture &X) { X.F->createBlockAfter(X.Entry, "x"); }, true,
+       false},
+      {"eraseBlock", [](EpochFixture &X) { X.F->eraseBlock(X.Spare); }, true,
+       true},
+      {"makeEntry", [](EpochFixture &X) { X.F->makeEntry(X.Spare); }, true,
+       false},
+      {"addPred", [](EpochFixture &X) { X.Spare->addPred(X.Then); }, true,
+       false},
+      {"removePred", [](EpochFixture &X) { X.Join->removePred(X.Entry); },
+       true, false},
+      {"replacePred",
+       [](EpochFixture &X) { X.Join->replacePred(X.Entry, X.Spare); }, true,
+       false},
+      {"replaceSuccessor",
+       [](EpochFixture &X) {
+         X.Entry->terminator()->replaceSuccessor(X.Join, X.Spare);
+       },
+       true, false},
+      {"splitEdge", [](EpochFixture &X) { splitEdge(X.Entry, X.Join); },
+       true, true},
+      // Body edits.
+      {"insertBeforeTerminator",
+       [](EpochFixture &X) {
+         X.Then->insertBeforeTerminator(std::make_unique<BinOpInst>(
+             BinOpKind::Add, X.A, X.A, "n"));
+       },
+       false, true},
+      {"prepend",
+       [](EpochFixture &X) {
+         X.Then->prepend(std::make_unique<CopyInst>(X.A, "c"));
+       },
+       false, true},
+      {"eraseFromParent", [](EpochFixture &X) { X.Dead->eraseFromParent(); },
+       false, true},
+      {"removeFromParent",
+       [](EpochFixture &X) { X.Dead->removeFromParent(); }, false, true},
+      {"setOperand",
+       [](EpochFixture &X) { X.Dead->setOperand(1, X.M.constant(3)); }, false,
+       true},
+      {"replaceAllUsesWith",
+       [](EpochFixture &X) { X.Add->replaceAllUsesWith(X.M.constant(5)); },
+       false, true},
+      {"phi addIncoming",
+       [](EpochFixture &X) { X.Phi->addIncoming(X.A, X.Spare); }, false,
+       true},
+      {"phi removeIncoming", [](EpochFixture &X) { X.Phi->removeIncoming(0); },
+       false, true},
+      {"phi setIncomingBlock",
+       [](EpochFixture &X) { X.Phi->setIncomingBlock(0, X.Spare); }, false,
+       true},
+      // Edits that change nothing, and memory-SSA annotations.
+      {"setOperand to the same value",
+       [](EpochFixture &X) { X.Dead->setOperand(0, X.Phi); }, false, false},
+      {"replaceSuccessor with itself",
+       [](EpochFixture &X) {
+         X.Entry->terminator()->replaceSuccessor(X.Join, X.Join);
+       },
+       false, false},
+      {"replacePred with itself",
+       [](EpochFixture &X) { X.Join->replacePred(X.Entry, X.Entry); }, false,
+       false},
+      {"phi setIncomingBlock to the same block",
+       [](EpochFixture &X) { X.Phi->setIncomingBlock(0, X.Entry); }, false,
+       false},
+      {"makeEntry of the entry",
+       [](EpochFixture &X) { X.F->makeEntry(X.Entry); }, false, false},
+      {"setMemOperand",
+       [](EpochFixture &X) {
+         X.Ld->setMemOperand(0, X.F->entryMemoryName(X.G));
+       },
+       false, false},
+      {"insert memory phi",
+       [](EpochFixture &X) {
+         auto MP = std::make_unique<MemPhiInst>(X.G);
+         MP->addMemDef(X.F->createMemoryName(X.G));
+         X.Then->prepend(std::move(MP));
+       },
+       false, false},
+      {"memory phi setIncomingBlock",
+       [](EpochFixture &X) { X.memPhi()->setIncomingBlock(0, X.Spare); },
+       false, false},
+      {"clearMemorySSA", [](EpochFixture &X) { X.F->clearMemorySSA(); },
+       false, false},
+      {"rebuild memory SSA",
+       [](EpochFixture &X) {
+         X.F->clearMemorySSA();
+         buildMemorySSA(*X.F, DominatorTree(*X.F));
+       },
+       false, false},
+  };
+  for (const EpochCase &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    EpochFixture X;
+    ASSERT_NE(X.memPhi(), nullptr);
+    AnalysisManager AM(&X.M);
+    AnalysisHandle<DominatorTree> DT = AM.getHandle<DominatorTree>(*X.F);
+    AnalysisHandle<Liveness> LV = AM.getHandle<Liveness>(*X.F);
+    const uint64_t CFG = X.F->cfgEpoch(), Body = X.F->bodyEpoch();
+
+    C.Edit(X);
+    EXPECT_EQ(X.F->cfgEpoch() != CFG, C.MovesCFG);
+    EXPECT_EQ(X.F->bodyEpoch() != Body, C.MovesBody);
+    // Dominators read the CFG epoch, liveness reads both.
+    EXPECT_EQ(DT.stale(), C.MovesCFG);
+    EXPECT_EQ(LV.stale(), C.MovesCFG || C.MovesBody);
+    EXPECT_EQ(DT.get() == nullptr, C.MovesCFG);
+  }
 }
 
 } // namespace

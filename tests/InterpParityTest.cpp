@@ -372,15 +372,48 @@ TEST(InterpParityTest, ManagerCachesDecodesAcrossRuns) {
   EXPECT_EQ(R2.Interp.FunctionsDecoded, 0u);
   EXPECT_EQ(R2.Interp.DecodeCacheHits, 2u);
 
-  // An SSA-edit notification retires exactly the edited function's decode.
+  // An IR edit (a dead add inserted into bump) retires exactly the edited
+  // function's decode.
   Function *Bump = M->getFunction("bump");
   ASSERT_NE(Bump, nullptr);
-  AM.ssaEdited(*Bump);
+  Bump->entry()->insertBeforeTerminator(std::make_unique<BinOpInst>(
+      BinOpKind::Add, M->constant(1), M->constant(2), "dead"));
   ExecutionResult R3 =
       Interpreter(*M, DefaultFuel, InterpEngine::Bytecode, &AM).run();
   ASSERT_TRUE(R3.Ok) << R3.Error;
   EXPECT_EQ(R3.Interp.FunctionsDecoded, 1u);
   EXPECT_EQ(R3.Interp.DecodeCacheHits, 1u);
+}
+
+// Erasing an instruction through the IR API is the whole contract: with
+// no other call, the next run re-decodes (a cleanup sweep deleting dead
+// instructions makes exactly this edit).
+TEST(InterpParityTest, EraseFromParentAloneRetiresTheDecode) {
+  auto M = compileOrDie(R"(
+    int g = 0;
+    void bump() { g = g + 1; }
+    void main() { bump(); bump(); print(g); }
+  )");
+  Function *Bump = M->getFunction("bump");
+  ASSERT_NE(Bump, nullptr);
+  Instruction *Dead = Bump->entry()->insertBeforeTerminator(
+      std::make_unique<BinOpInst>(BinOpKind::Add, M->constant(1),
+                                  M->constant(2), "dead"));
+  AnalysisManager AM(M.get());
+  ExecutionResult R1 =
+      Interpreter(*M, DefaultFuel, InterpEngine::Bytecode, &AM).run();
+  ASSERT_TRUE(R1.Ok) << R1.Error;
+
+  Dead->eraseFromParent();
+
+  ExecutionResult R2 =
+      Interpreter(*M, DefaultFuel, InterpEngine::Bytecode, &AM).run();
+  ASSERT_TRUE(R2.Ok) << R2.Error;
+  EXPECT_EQ(R2.Interp.FunctionsDecoded, 1u);
+  EXPECT_EQ(R2.Interp.DecodeCacheHits, 1u);
+  EXPECT_EQ(R2.Counts.Instructions + 2, R1.Counts.Instructions);
+  expectSameResult(Interpreter(*M, DefaultFuel, InterpEngine::Walk).run(), R2,
+                   "after erase");
 }
 
 TEST(InterpParityTest, PrivateDecodesWithoutManager) {

@@ -62,6 +62,22 @@ TEST(PipelineTest, StaticCountsMatchIRContents) {
   EXPECT_EQ(R.StaticAfter.AliasedOps, 2u);
 }
 
+// Memory-SSA construction between the profile and measure runs annotates
+// every function (mu/chi operands, memory phis) but moves no edit epoch, so
+// a function promotion leaves alone keeps the decode the profile run made.
+TEST(PipelineTest, MeasureRunReusesDecodeOfUntouchedFunction) {
+  PipelineResult R = PipelineBuilder().mode(PromotionMode::Paper).run(R"(
+    int g = 0;
+    int sq(int x) { return x * x; }
+    void main() { int i; for (i = 0; i < 10; i++) g = g + sq(i); print(g); }
+  )");
+  ASSERT_TRUE(R.Ok) << (R.Errors.empty() ? "?" : R.Errors[0]);
+  ASSERT_GT(R.Promo.WebsPromoted, 0u); // main changed, sq did not
+  EXPECT_EQ(R.RunAfter.Interp.DecodeCacheHits, 1u);
+  EXPECT_EQ(R.RunAfter.Interp.FunctionsDecoded, 1u);
+  EXPECT_EQ(R.Analysis.builds(AnalysisKind::MemorySSA), 2u);
+}
+
 TEST(PipelineTest, CustomEntryFunction) {
   PipelineOptions Opts;
   Opts.EntryFunction = "driver";

@@ -21,9 +21,9 @@
 #include "pipeline/Job.h"
 #include "pipeline/Pipeline.h"
 #include "gen/Corpus.h"
+#include "gen/ProgramGen.h"
 #include "ir/Module.h"
 #include "ir/Printer.h"
-#include "RandomProgramGen.h"
 #include "TestHelpers.h"
 #include <gtest/gtest.h>
 #include <iterator>
@@ -36,7 +36,7 @@ namespace {
 class PromotionPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PromotionPropertyTest, PaperModePreservesBehaviour) {
-  RandomProgramGen Gen(GetParam());
+  gen::ProgramGen Gen(GetParam());
   std::string Src = Gen.generate();
 
   PipelineOptions Opts;
@@ -54,7 +54,7 @@ TEST_P(PromotionPropertyTest, PaperModePreservesBehaviour) {
 }
 
 TEST_P(PromotionPropertyTest, NoProfileModePreservesBehaviour) {
-  RandomProgramGen Gen(GetParam() * 7919 + 13);
+  gen::ProgramGen Gen(GetParam() * 7919 + 13);
   std::string Src = Gen.generate();
 
   PipelineOptions Opts;
@@ -68,7 +68,7 @@ TEST_P(PromotionPropertyTest, NoProfileModePreservesBehaviour) {
 }
 
 TEST_P(PromotionPropertyTest, LoopBaselinePreservesBehaviour) {
-  RandomProgramGen Gen(GetParam() * 104729 + 7);
+  gen::ProgramGen Gen(GetParam() * 104729 + 7);
   std::string Src = Gen.generate();
 
   PipelineOptions Opts;
@@ -81,7 +81,7 @@ TEST_P(PromotionPropertyTest, LoopBaselinePreservesBehaviour) {
 }
 
 TEST_P(PromotionPropertyTest, StoreEliminationOffPreservesBehaviour) {
-  RandomProgramGen Gen(GetParam() * 31 + 5);
+  gen::ProgramGen Gen(GetParam() * 31 + 5);
   std::string Src = Gen.generate();
 
   PipelineOptions Opts;
@@ -94,7 +94,7 @@ TEST_P(PromotionPropertyTest, StoreEliminationOffPreservesBehaviour) {
 }
 
 TEST_P(PromotionPropertyTest, WholeVariableGranularityPreservesBehaviour) {
-  RandomProgramGen Gen(GetParam() * 271 + 3);
+  gen::ProgramGen Gen(GetParam() * 271 + 3);
   std::string Src = Gen.generate();
 
   PipelineOptions Opts;
@@ -107,7 +107,7 @@ TEST_P(PromotionPropertyTest, WholeVariableGranularityPreservesBehaviour) {
 }
 
 TEST_P(PromotionPropertyTest, DirectAliasedStoresPreservesBehaviour) {
-  RandomProgramGen Gen(GetParam() * 911 + 29);
+  gen::ProgramGen Gen(GetParam() * 911 + 29);
   std::string Src = Gen.generate();
 
   PipelineOptions Opts;
@@ -123,7 +123,7 @@ TEST_P(PromotionPropertyTest, DirectAliasedStoresPreservesBehaviour) {
 }
 
 TEST_P(PromotionPropertyTest, MemOptOnlyPreservesBehaviour) {
-  RandomProgramGen Gen(GetParam() * 613 + 11);
+  gen::ProgramGen Gen(GetParam() * 613 + 11);
   std::string Src = Gen.generate();
 
   PipelineOptions Opts;
@@ -143,7 +143,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PromotionPropertyTest,
 class GeneratorSanityTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(GeneratorSanityTest, GeneratedProgramsCompileAndRun) {
-  RandomProgramGen Gen(GetParam() + 1000);
+  gen::ProgramGen Gen(GetParam() + 1000);
   std::string Src = Gen.generate();
   std::vector<std::string> Errors;
   auto M = compileMiniC(Src, Errors);

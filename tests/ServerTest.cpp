@@ -266,6 +266,38 @@ TEST(ServerTest, PipelineFailuresTravelInBand) {
   EXPECT_EQ(St.JobsFailed, 1u);
 }
 
+// An integer literal beyond the int64 range once threw out of the lexer
+// and took the whole daemon down; it must come back as an ordinary failed
+// job, and the daemon must go on serving.
+TEST(ServerTest, OversizedLiteralIsAnErrorResponse) {
+  ServerOptions O;
+  O.SocketPath = testSocketPath("literal");
+  O.Threads = 1;
+  RunningServer S(O);
+  ASSERT_TRUE(S.Started);
+
+  Client Cl;
+  std::string Err;
+  ASSERT_TRUE(Cl.connect(O.SocketPath, Err)) << Err;
+  CompileResponse R;
+  ASSERT_TRUE(Cl.compile(makeJob("int main() { return 99999999999999999999; }",
+                                 PromotionMode::Paper, "big.mc"),
+                         R, Err))
+      << Err;
+  EXPECT_FALSE(R.Ok);
+  ASSERT_FALSE(R.Errors.empty());
+  EXPECT_NE(R.Errors[0].find("out of range"), std::string::npos);
+
+  CompileResponse Next;
+  ASSERT_TRUE(Cl.compile(makeJob(overlappingProgram(1), PromotionMode::Paper,
+                                 "next.mc"),
+                         Next, Err))
+      << Err;
+  EXPECT_TRUE(Next.Ok);
+  EXPECT_TRUE(Cl.ping(Err)) << Err;
+  EXPECT_EQ(S.Srv.stats().JobsFailed, 1u);
+}
+
 // Floods the server through a raw socket — many requests written before
 // any response is read — with a capacity-1 queue. Every request must
 // still be answered (readers block, nothing is dropped) and the server

@@ -11,8 +11,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "gen/ProgramGen.h"
 #include "pipeline/Pipeline.h"
-#include "RandomProgramGen.h"
 #include "TestHelpers.h"
 #include <gtest/gtest.h>
 
@@ -174,7 +174,7 @@ TEST(SuperblockTest, PaperWinsWhenRefsLeaveTheTrace) {
 class SuperblockPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SuperblockPropertyTest, PreservesBehaviourOnRandomPrograms) {
-  RandomProgramGen Gen(GetParam() * 8839 + 17);
+  gen::ProgramGen Gen(GetParam() * 8839 + 17);
   std::string Src = Gen.generate();
   PipelineOptions Opts;
   Opts.Mode = PromotionMode::Superblock;

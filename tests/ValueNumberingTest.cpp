@@ -5,12 +5,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/CFGCanonicalize.h"
+#include "gen/ProgramGen.h"
 #include "interp/Interpreter.h"
 #include "ir/IRBuilder.h"
 #include "ssa/Mem2Reg.h"
 #include "ssa/MemorySSA.h"
 #include "ssa/ValueNumbering.h"
-#include "RandomProgramGen.h"
 #include "TestHelpers.h"
 #include <gtest/gtest.h>
 
@@ -200,7 +200,7 @@ TEST(GVNTest, TrivialPhisFolded) {
 class GVNPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(GVNPropertyTest, PreservesBehaviourOnRandomPrograms) {
-  RandomProgramGen Gen(GetParam() * 12007 + 3);
+  gen::ProgramGen Gen(GetParam() * 12007 + 3);
   std::string Src = Gen.generate();
   std::vector<std::string> Errors;
   auto M = compileMiniC(Src, Errors);

@@ -20,10 +20,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/CFGCanonicalize.h"
+#include "gen/ProgramGen.h"
 #include "promotion/SSAWeb.h"
 #include "ssa/Mem2Reg.h"
 #include "ssa/MemorySSA.h"
-#include "RandomProgramGen.h"
 #include "TestHelpers.h"
 #include <gtest/gtest.h>
 #include <map>
@@ -37,7 +37,7 @@ namespace {
 class WebInvariantsTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(WebInvariantsTest, PaperSetPropertiesHold) {
-  RandomProgramGen Gen(GetParam() * 2713 + 5);
+  gen::ProgramGen Gen(GetParam() * 2713 + 5);
   std::string Src = Gen.generate();
   std::vector<std::string> Errors;
   auto M = compileMiniC(Src, Errors);
