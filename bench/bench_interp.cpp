@@ -14,6 +14,10 @@
 ///                    profile + measurement configuration the pipeline uses
 ///   native-cold      baseline JIT, compile forced on first call and paid
 ///                    every run (fresh engine per run)
+///   native-default   baseline JIT under the default tiering policy (the
+///                    hotness-ledger threshold, OSR at hot back edges) on
+///                    a fresh engine per run: the one-shot pipeline
+///                    configuration
 ///   native-amort     compiled code cached through a shared
 ///                    AnalysisManager, warmed past the tier threshold, so
 ///                    timed runs execute pure native code
@@ -56,6 +60,7 @@ struct Row {
   double ColdSec = 0;       ///< Bytecode, decode repeated every run.
   double AmortSec = 0;      ///< Bytecode, decode cached across runs.
   double NativeColdSec = 0; ///< JIT, compile repeated every run.
+  double NativeDefaultSec = 0; ///< JIT, default tiering, fresh engine.
   double NativeAmortSec = 0;///< JIT, compiled code cached across runs.
 };
 
@@ -127,6 +132,12 @@ bool benchWorkload(const Workload &W, unsigned Reps, Row &Out) {
     NI.setJitThreshold(1);
     NI.run();
   });
+  // Native default: fresh engine per run under the default threshold —
+  // cold code stays on bytecode, hot loops are compiled and entered
+  // mid-run.
+  Out.NativeDefaultSec = bestOf(Reps, [&] {
+    Interpreter(*M, 200'000'000, InterpEngine::Native).run();
+  });
   // Native amortised: compiled code cached through the manager; warm past
   // the threshold so every timed run executes pure native code.
   AnalysisManager NAM(M.get());
@@ -196,16 +207,20 @@ int main(int argc, char **argv) {
     Rows.push_back(R);
   }
 
-  std::vector<double> ColdUps, AmortUps, NatColdUps, NatAmortUps;
+  std::vector<double> ColdUps, AmortUps, NatColdUps, NatDefaultUps,
+      NatAmortUps;
   for (const Row &R : Rows) {
     ColdUps.push_back(R.WalkSec / R.ColdSec);
     AmortUps.push_back(R.WalkSec / R.AmortSec);
     NatColdUps.push_back(R.WalkSec / R.NativeColdSec);
+    // What the default engine gains per one-shot run over bytecode.
+    NatDefaultUps.push_back(R.ColdSec / R.NativeDefaultSec);
     // The tentpole headline: amortised native over amortised bytecode.
     NatAmortUps.push_back(R.AmortSec / R.NativeAmortSec);
   }
   double GeoCold = geomean(ColdUps), GeoAmort = geomean(AmortUps);
   double GeoNatCold = geomean(NatColdUps);
+  double GeoNatDefault = geomean(NatDefaultUps);
   double GeoNatAmort = geomean(NatAmortUps);
 
   if (Json) {
@@ -218,40 +233,47 @@ int main(int argc, char **argv) {
                   "\"walk_seconds\": %.6f, \"bytecode_cold_seconds\": %.6f, "
                   "\"bytecode_amortized_seconds\": %.6f, "
                   "\"native_cold_seconds\": %.6f, "
+                  "\"native_default_seconds\": %.6f, "
                   "\"native_amortized_seconds\": %.6f, "
                   "\"speedup_cold\": %.2f, \"speedup_amortized\": %.2f, "
                   "\"native_speedup_cold\": %.2f, "
+                  "\"native_default_over_bytecode_cold\": %.2f, "
                   "\"native_over_bytecode_amortized\": %.2f}",
                   I ? "," : "", R.Name.c_str(),
                   static_cast<unsigned long long>(R.Instructions), R.WalkSec,
-                  R.ColdSec, R.AmortSec, R.NativeColdSec, R.NativeAmortSec,
-                  ColdUps[I], AmortUps[I], NatColdUps[I], NatAmortUps[I]);
+                  R.ColdSec, R.AmortSec, R.NativeColdSec, R.NativeDefaultSec,
+                  R.NativeAmortSec, ColdUps[I], AmortUps[I], NatColdUps[I],
+                  NatDefaultUps[I], NatAmortUps[I]);
     }
     std::printf("\n  ],\n  \"geomean_speedup_cold\": %.2f,\n"
                 "  \"geomean_speedup_amortized\": %.2f,\n"
                 "  \"geomean_native_speedup_cold\": %.2f,\n"
+                "  \"geomean_native_default_over_bytecode_cold\": %.2f,\n"
                 "  \"geomean_native_over_bytecode_amortized\": %.2f\n}\n",
-                GeoCold, GeoAmort, GeoNatCold, GeoNatAmort);
+                GeoCold, GeoAmort, GeoNatCold, GeoNatDefault, GeoNatAmort);
     return 0;
   }
 
   std::printf("interpreter engines, best of %u runs (seconds per run)\n\n",
               Reps);
-  std::printf("%-10s %12s %10s %10s %10s %10s %10s %8s %8s %8s\n",
+  std::printf("%-10s %12s %10s %10s %10s %10s %10s %10s %8s %8s %8s %8s\n",
               "workload", "dyn insts", "walk", "cold", "amort", "nat-cold",
-              "nat-amort", "x cold", "x amort", "nat/bc");
+              "nat-dflt", "nat-amort", "x cold", "x amort", "dflt/bc",
+              "nat/bc");
   for (size_t I = 0; I != Rows.size(); ++I) {
     const Row &R = Rows[I];
     std::printf(
-        "%-10s %12llu %10.4f %10.4f %10.4f %10.4f %10.4f %7.1fx %7.1fx "
-        "%7.1fx\n",
+        "%-10s %12llu %10.4f %10.4f %10.4f %10.4f %10.4f %10.4f %7.1fx "
+        "%7.1fx %7.1fx %7.1fx\n",
         R.Name.c_str(), static_cast<unsigned long long>(R.Instructions),
-        R.WalkSec, R.ColdSec, R.AmortSec, R.NativeColdSec, R.NativeAmortSec,
-        ColdUps[I], AmortUps[I], NatAmortUps[I]);
+        R.WalkSec, R.ColdSec, R.AmortSec, R.NativeColdSec, R.NativeDefaultSec,
+        R.NativeAmortSec, ColdUps[I], AmortUps[I], NatDefaultUps[I],
+        NatAmortUps[I]);
   }
   std::printf("\ngeomean speedup over walk: %.1fx cold, %.1fx amortised, "
               "%.1fx native-cold\n"
+              "geomean native-default over bytecode (cold): %.1fx\n"
               "geomean native over bytecode (amortised): %.1fx\n",
-              GeoCold, GeoAmort, GeoNatCold, GeoNatAmort);
+              GeoCold, GeoAmort, GeoNatCold, GeoNatDefault, GeoNatAmort);
   return 0;
 }

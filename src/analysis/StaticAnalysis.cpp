@@ -328,14 +328,18 @@ void checkMemNameLinks(CheckContext &C) {
     }
     Instruction *D = N->def();
     const auto &Defs = D->memDefs();
-    DiagLocation Loc = D->parent() ? DiagLocation::of(*D)
-                                   : DiagLocation::inFunction(F.name());
+    // Built only on failure: DiagLocation::of costs an indexOf plus a
+    // printed snippet, and this loop visits every memory name.
+    auto Loc = [&] {
+      return D->parent() ? DiagLocation::of(*D)
+                         : DiagLocation::inFunction(F.name());
+    };
     if (std::find(Defs.begin(), Defs.end(), N.get()) == Defs.end())
-      C.DE.error("mem-name-links", Loc,
+      C.DE.error("mem-name-links", Loc(),
                  "memory version " + N->name() +
                      " not listed among its defining instruction's defs");
     else if (!D->parent() || D->function() != &F)
-      C.DE.error("mem-name-links", Loc,
+      C.DE.error("mem-name-links", Loc(),
                  "memory version " + N->name() +
                      " defined by an instruction outside the function");
   }

@@ -126,6 +126,7 @@ class Decoder {
     BEdge E;
     E.To = It->second;
     E.Id = static_cast<uint32_t>(DF.EdgeFrom.size());
+    E.Retreating = E.To <= FromIdx;
     DF.EdgeFrom.push_back(FromIdx);
     DF.EdgeTo.push_back(E.To);
     E.CopyBegin = static_cast<uint32_t>(DF.PhiCopies.size());
@@ -354,8 +355,10 @@ public:
 
     for (const auto &L : F.locals())
       if (!L->isAddressTaken()) {
-        LocalOffset[L.get()] = DF.LocalArenaSize;
-        DF.Locals.push_back({DF.LocalArenaSize, L->size(), L->initialValue()});
+        // Offsets wrap only in arenas over the cell budget, which never run.
+        const auto Off = static_cast<uint32_t>(DF.LocalArenaSize);
+        LocalOffset[L.get()] = Off;
+        DF.Locals.push_back({Off, L->size(), L->initialValue()});
         DF.LocalArenaSize += L->size();
       }
 

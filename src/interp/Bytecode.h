@@ -112,6 +112,10 @@ struct BEdge {
   uint32_t To = 0;     ///< Target block index.
   uint32_t Id = 0;     ///< Dense edge id within the function.
   uint32_t CopyBegin = 0, CopyEnd = 0; ///< Range in PhiCopies.
+  /// To <= the source block's index. Every cycle contains at least one
+  /// such edge, so these are where the native tier's hotness ledger ticks
+  /// inside a running activation (and where it may enter compiled code).
+  bool Retreating = false;
 };
 
 /// One pre-resolved phi move (executed in parallel with its edge-mates).
@@ -172,7 +176,9 @@ struct DecodedFunction {
     int64_t Init;
   };
   std::vector<LocalSlot> Locals;
-  uint32_t LocalArenaSize = 0;
+  /// Cells per activation. 64-bit so a sum of huge locals cannot wrap
+  /// below the engine's cell budget, which refuses such frames.
+  uint64_t LocalArenaSize = 0;
 
   uint32_t numEdges() const { return static_cast<uint32_t>(Edges.size()); }
 };

@@ -6,14 +6,15 @@
 //  - callWalk: the reference tree-walker. Interprets the IR in place with a
 //    hash-map frame; every register read is checked, so use-before-def is a
 //    trap (UndefValue stays a deterministic 0).
-//  - execDecoded/execLoop: the bytecode engine. Runs the decoded stream
+//  - dispatchDecoded/execLoop: the bytecode engine. Runs the decoded stream
 //    from interp/Bytecode.h over a flat register stack; fuel is charged per
 //    segment (block prefix / post-call run) in one subtraction, with a
 //    per-instruction slow path once fuel runs low so exhaustion traps at
 //    exactly the same instruction as the walker.
-//  - nativeInvoke: the native tier (jit/NativeJIT.h). Hot functions run as
-//    JIT-compiled x86-64 on the same frame arenas; traps and fuel
-//    exhaustion deopt into execLoop mid-frame at the faulting instruction.
+//  - runNative: the native tier (jit/NativeJIT.h). Hot functions run as
+//    JIT-compiled x86-64 on the same frame arenas, entered on a call or,
+//    mid-activation, on a retreating edge (OSR); traps and fuel exhaustion
+//    deopt into execLoop mid-frame at the faulting instruction.
 // All engines share the memory image, the trap plumbing and the result
 // object, and may interleave within one run: functions the decoder rejects
 // (use-before-def it cannot disprove, malformed blocks) execute via the
@@ -61,6 +62,9 @@ SRP_STATISTIC(NumNativeCalls, "interp", "native-calls",
               "Calls executed by JIT-compiled code");
 SRP_STATISTIC(NumNativeDeopts, "interp", "native-deopts",
               "Native frames that deopted into the bytecode loop");
+SRP_STATISTIC(NumNativeOsrEntries, "interp", "native-osr-entries",
+              "Bytecode activations continued in compiled code at a "
+              "retreating edge (on-stack replacement)");
 SRP_HISTOGRAM(JitCompileMicros, "interp", "jit-compile-micros",
               "Wall time of one baseline-JIT function compile (us)");
 } // namespace
@@ -99,7 +103,8 @@ InterpEngine srp::defaultInterpEngine() {
     if (parseInterpEngine(V, E))
       return E;
   }
-  return InterpEngine::Bytecode;
+  return jit::nativeJitSupported() ? InterpEngine::Native
+                                   : InterpEngine::Bytecode;
 }
 
 namespace {
@@ -226,11 +231,11 @@ class ExecEngine {
 
   /// Native-tier state: the engine<->code context (one per engine; nested
   /// native frames share it, saving/restoring Depth around calls), the
-  /// memory-image identity compiled code must match, and the call-count
-  /// tier threshold.
+  /// memory-image identity compiled code must match, and the
+  /// hotness-ledger tier threshold.
   jit::NativeCtx Ctx;
   uint64_t ImageSig = 0;
-  uint64_t JitThreshold = 2;
+  uint64_t JitThreshold = jit::DefaultJitThreshold;
 
   /// Register / frame-local-memory stacks shared by all bytecode frames
   /// (one contiguous arena each instead of a malloc per call). Grown
@@ -243,6 +248,10 @@ class ExecEngine {
   size_t LocalTop = 0;
   std::vector<int64_t> PhiScratch; ///< Parallel-copy staging buffer.
   std::vector<int64_t> ArgStack;   ///< Call-argument staging stack.
+  /// Frame-local cells held by live walker frames (bytecode and native
+  /// frames hold LocalTop); the two together are checked against the
+  /// cell budget.
+  uint64_t WalkLocalCells = 0;
 
 public:
   ExecEngine(Module &M, uint64_t Fuel, ExecutionResult &R, InterpEngine E,
@@ -250,27 +259,45 @@ public:
       : M(M), FuelLeft(Fuel), R(R), Mem(M),
         UseBytecode(E != InterpEngine::Walk),
         UseNative(E == InterpEngine::Native), AM(AM) {
-    for (const auto &G : M.globals())
-      Mem.add(*G);
-    // Address-taken locals get static storage (single activation).
-    for (const auto &F : M.functions())
-      for (const auto &L : F->locals())
-        if (L->isAddressTaken())
-          Mem.add(*L);
-    if (UseNative) {
+    if (UseNative)
       JitThreshold = Threshold ? Threshold : jit::defaultJitThreshold();
-      ImageSig = Mem.signature();
-      Ctx.MemCells = Mem.cellsData(); // stable: no add() after this point
-      Ctx.CallHelper = &callThunk;
-      Ctx.PrintHelper = &printThunk;
-      Ctx.Engine = this;
-    }
   }
 
   bool trap(const std::string &Msg) {
     R.Ok = false;
     R.Error = Msg;
     return false;
+  }
+
+  /// Lays out the static memory image: globals, and address-taken locals
+  /// (static storage, single activation). Traps instead when the image
+  /// would exceed the cell budget (jit::CellLimit, the JIT's encodable
+  /// geometry). Must succeed before the first call.
+  bool start() {
+    std::vector<const MemoryObject *> Static;
+    for (const auto &G : M.globals())
+      Static.push_back(G.get());
+    for (const auto &F : M.functions())
+      for (const auto &L : F->locals())
+        if (L->isAddressTaken())
+          Static.push_back(L.get());
+    uint64_t Cells = 0;
+    for (const MemoryObject *Obj : Static)
+      Cells += Obj->size();
+    if (Cells > jit::CellLimit)
+      return trap("static memory of " + std::to_string(Cells) +
+                  " cells exceeds the budget of " +
+                  std::to_string(jit::CellLimit) + " cells");
+    for (const MemoryObject *Obj : Static)
+      Mem.add(*Obj);
+    if (UseNative) {
+      ImageSig = Mem.signature();
+      Ctx.MemCells = Mem.cellsData(); // stable: no add() after this point
+      Ctx.CallHelper = &callThunk;
+      Ctx.PrintHelper = &printThunk;
+      Ctx.Engine = this;
+    }
+    return true;
   }
 
   /// One decode resolution (and one cache-hit/miss count) per function
@@ -307,7 +334,6 @@ public:
         return dispatchDecoded(DF, FS, Args, RetVal, Depth);
       }
       ++R.Interp.WalkFallbackCalls;
-      ++NumWalkFallbackCalls;
     }
     return callWalk(F, Args, NArgs, RetVal, Depth);
   }
@@ -317,6 +343,15 @@ public:
   /// (including on traps: partial counts are part of the observable
   /// behaviour the parity suite compares).
   void finish() {
+    // Compiled code accumulates its dynamic counts in the context. They
+    // only add to the run's totals, so one flush here is exact.
+    DynamicCounts &C = R.Counts;
+    C.Instructions += Ctx.Instructions;
+    C.SingletonLoads += Ctx.SingletonLoads;
+    C.SingletonStores += Ctx.SingletonStores;
+    C.AliasedLoads += Ctx.AliasedLoads;
+    C.AliasedStores += Ctx.AliasedStores;
+    C.Copies += Ctx.Copies;
     for (auto &[F, FS] : States) {
       (void)F;
       const DecodedFunction &DF = *FS.DF;
@@ -347,7 +382,6 @@ private:
     if (AM) {
       if (AM->cachingEnabled() && AM->isCached(F, AnalysisKind::Bytecode)) {
         ++R.Interp.DecodeCacheHits;
-        ++NumDecodeCacheHits;
         return AM->get<DecodedFunction>(F);
       }
       double T0 = monotonicSeconds();
@@ -390,20 +424,68 @@ private:
     return *P;
   }
 
-  /// Decoded-function dispatch below call(): native code when the function
-  /// is hot (compiling it on the crossing call), bytecode otherwise. The
-  /// caller has already validated Empty/NeedsWalk/arity.
-  bool dispatchDecoded(const DecodedFunction &DF, FnState &FS,
-                       const int64_t *Args, int64_t &RetVal, unsigned Depth) {
-    if (UseNative)
-      if (jit::NativeCode *NC = maybeNative(DF, FS))
-        return nativeInvoke(*NC, DF, FS, Args, RetVal, Depth);
-    return execDecoded(DF, FS, Args, RetVal, Depth);
+  /// Pushes an activation of \p DF onto the shared arenas: bump the
+  /// watermarks, seed constants and arguments, initialise frame-local
+  /// memory. Beyond the watermarks the arenas hold stale garbage, which is
+  /// fine — the decoder's dominance proof guarantees no plain slot is read
+  /// before it is written. Traps when the live frame-local cells would
+  /// exceed the budget.
+  bool pushFrame(const DecodedFunction &DF, const int64_t *Args,
+                 size_t &Base, size_t &LocalBase) {
+    if (LocalTop + WalkLocalCells + DF.LocalArenaSize > jit::CellLimit)
+      return trap("frame-local memory overflow in " + DF.F->name() +
+                  " (budget " + std::to_string(jit::CellLimit) + " cells)");
+    Base = RegTop;
+    RegTop += DF.NumSlots;
+    if (RegTop > RegStack.size())
+      RegStack.resize(std::max(RegTop, RegStack.size() * 2));
+    LocalBase = LocalTop;
+    LocalTop += DF.LocalArenaSize;
+    if (LocalTop > LocalStack.size())
+      LocalStack.resize(std::max(LocalTop, LocalStack.size() * 2));
+    int64_t *Rg = RegStack.data() + Base;
+    int64_t *Lc = LocalStack.data() + LocalBase;
+    for (const auto &CI : DF.ConstInits)
+      Rg[CI.Slot] = CI.Val;
+    for (uint32_t I = 0; I != DF.NumArgs; ++I)
+      Rg[I] = Args[I];
+    for (const auto &L : DF.Locals)
+      std::fill_n(Lc + L.Off, L.Size, L.Init);
+    return true;
   }
 
-  /// The tier decision for one call: bump the hotness ledger, compile at
-  /// the threshold, and return the entry when this call can run natively.
-  jit::NativeCode *maybeNative(const DecodedFunction &DF, FnState &FS) {
+  /// Decoded-function dispatch below call(): push the frame, then run it
+  /// natively when the call makes the function hot enough (compiling it
+  /// on the crossing tick), in the bytecode loop otherwise. The caller has
+  /// already validated Empty/NeedsWalk/arity.
+  bool dispatchDecoded(const DecodedFunction &DF, FnState &FS,
+                       const int64_t *Args, int64_t &RetVal, unsigned Depth) {
+    size_t Base = 0, LocalBase = 0;
+    if (!pushFrame(DF, Args, Base, LocalBase))
+      return false;
+    if (!UseNative)
+      return execLoop<false>(DF, FS, Base, LocalBase, RetVal, Depth, nullptr);
+    if (jit::NativeCode *NC = tierUp(DF, FS)) {
+      ++R.Interp.NativeCalls;
+      uint32_t ResumeIdx = 0;
+      switch (runNative(*NC, FS, Base, LocalBase, RetVal, Depth, 0,
+                        ResumeIdx)) {
+      case NativeExit::Returned:
+        return true;
+      case NativeExit::Trapped:
+        return false;
+      case NativeExit::Deopted:
+        return execLoop<true>(DF, FS, Base, LocalBase, RetVal, Depth,
+                              DF.Code.data() + ResumeIdx);
+      }
+    }
+    return execLoop<true>(DF, FS, Base, LocalBase, RetVal, Depth, nullptr);
+  }
+
+  /// One tick of the hotness ledger — a call, or a retreating edge taken
+  /// by a bytecode activation. Compiles at the threshold and returns the
+  /// entry when the activation should continue in compiled code.
+  jit::NativeCode *tierUp(const DecodedFunction &DF, FnState &FS) {
     jit::NativeCode *NC = FS.NC;
     if (!NC)
       return nullptr;
@@ -437,84 +519,41 @@ private:
     if (!Ok)
       return nullptr;
     ++R.Interp.FunctionsCompiled;
-    ++NumNativeCompiles;
     return NC;
   }
 
-  /// Flushes the count deltas compiled code accumulated in the context
-  /// into the run's counters. Must happen before any result is read —
-  /// nativeInvoke does it on every exit path (return, trap, deopt).
-  void flushNativeCounts() {
-    DynamicCounts &C = R.Counts;
-    C.Instructions += Ctx.Instructions;
-    C.SingletonLoads += Ctx.SingletonLoads;
-    C.SingletonStores += Ctx.SingletonStores;
-    C.AliasedLoads += Ctx.AliasedLoads;
-    C.AliasedStores += Ctx.AliasedStores;
-    C.Copies += Ctx.Copies;
-    Ctx.Instructions = Ctx.SingletonLoads = Ctx.SingletonStores =
-        Ctx.AliasedLoads = Ctx.AliasedStores = Ctx.Copies = 0;
-  }
+  enum class NativeExit { Returned, Trapped, Deopted };
 
-  /// The block whose instruction range contains \p CodeIdx (deopt resume
-  /// target). Blocks[i].First is ascending by construction.
-  static uint32_t blockContaining(const DecodedFunction &DF,
-                                  uint32_t CodeIdx) {
-    uint32_t B = 0;
-    while (B + 1 < DF.Blocks.size() && DF.Blocks[B + 1].First <= CodeIdx)
-      ++B;
-    return B;
-  }
-
-  /// Runs one call in compiled code: identical frame push to execDecoded,
-  /// then the JIT entry. Status selects the exit: plain return, trap
-  /// (recorded by a helper; unwind), or deopt — resume the bytecode loop
-  /// on this very frame at the faulting instruction, with per-instruction
-  /// fuel (the native tier never leaves a prepaid segment behind).
-  bool nativeInvoke(jit::NativeCode &NC, const DecodedFunction &DF,
-                    FnState &FS, const int64_t *Args, int64_t &RetVal,
-                    unsigned Depth) {
-    const size_t Base = RegTop;
-    RegTop += DF.NumSlots;
-    if (RegTop > RegStack.size())
-      RegStack.resize(std::max(RegTop, RegStack.size() * 2));
-    const size_t LocalBase = LocalTop;
-    LocalTop += DF.LocalArenaSize;
-    if (LocalTop > LocalStack.size())
-      LocalStack.resize(std::max(LocalTop, LocalStack.size() * 2));
-    int64_t *Rg = RegStack.data() + Base;
-    int64_t *Lc = LocalStack.data() + LocalBase;
-    for (const auto &CI : DF.ConstInits)
-      Rg[CI.Slot] = CI.Val;
-    for (uint32_t I = 0; I != DF.NumArgs; ++I)
-      Rg[I] = Args[I];
-    for (const auto &L : DF.Locals)
-      std::fill_n(Lc + L.Off, L.Size, L.Init);
-
-    ++R.Interp.NativeCalls;
-    ++NumNativeCalls;
+  /// Runs compiled code on the pushed frame at \p Base / \p LocalBase,
+  /// starting at block \p StartBlock: 0 for a call, a retreating edge's
+  /// target for an OSR entry. Returned pops the frame; Trapped has the
+  /// trap recorded by a helper; Deopted leaves the frame for the bytecode
+  /// loop to resume at instruction \p ResumeIdx with per-instruction fuel
+  /// (the native tier never leaves a prepaid segment behind).
+  NativeExit runNative(jit::NativeCode &NC, FnState &FS, size_t Base,
+                       size_t LocalBase, int64_t &RetVal, unsigned Depth,
+                       uint32_t StartBlock, uint32_t &ResumeIdx) {
     Ctx.FuelLeft = FuelLeft;
     const uint32_t SavedDepth = Ctx.Depth;
     Ctx.Depth = Depth;
     Ctx.Status = jit::StatusOk;
-    int64_t Ret = NC.Entry(&Ctx, Rg, Lc, FS.Cnt.data(), &FS);
+    int64_t Ret = NC.Entry(&Ctx, RegStack.data() + Base,
+                           LocalStack.data() + LocalBase, FS.Cnt.data(), &FS,
+                           StartBlock);
     Ctx.Depth = SavedDepth;
     FuelLeft = Ctx.FuelLeft;
-    flushNativeCounts();
     if (Ctx.Status == jit::StatusOk) {
       RetVal = Ret;
       RegTop = Base;
       LocalTop = LocalBase;
-      return true;
+      return NativeExit::Returned;
     }
     if (Ctx.Status != jit::StatusDeopt)
-      return false; // trap already recorded by the raising helper
+      return NativeExit::Trapped;
     ++R.Interp.Deopts;
-    ++NumNativeDeopts;
     Ctx.Status = jit::StatusOk;
-    const uint32_t Idx = static_cast<uint32_t>(Ctx.DeoptIndex);
-    return execLoop(DF, FS, Base, LocalBase, RetVal, Depth,
-                    blockContaining(DF, Idx), Idx, /*Resume=*/true);
+    ResumeIdx = static_cast<uint32_t>(Ctx.DeoptIndex);
+    return NativeExit::Deopted;
   }
 
   /// The BOp::Call helper compiled code calls out to. Mirrors the
@@ -555,7 +594,6 @@ private:
                                Depth + 1);
       } else {
         ++R.Interp.WalkFallbackCalls;
-        ++NumWalkFallbackCalls;
         Ok = callWalk(Callee, ArgStack.data() + AB, NA, Out, Depth + 1);
       }
       ArgStack.resize(AB);
@@ -579,42 +617,18 @@ private:
 
   //===-- Bytecode engine --------------------------------------------------===
 
-  bool execDecoded(const DecodedFunction &DF, FnState &FS,
-                   const int64_t *Args, int64_t &RetVal, unsigned Depth) {
-    // Frame push: bump the watermarks; beyond them the arenas hold stale
-    // garbage, which is fine — the decoder's dominance proof guarantees
-    // no plain slot is read before it is written, and constants/undef
-    // are seeded from the sparse ConstInits list.
-    const size_t Base = RegTop;
-    RegTop += DF.NumSlots;
-    if (RegTop > RegStack.size())
-      RegStack.resize(std::max(RegTop, RegStack.size() * 2));
-    const size_t LocalBase = LocalTop;
-    LocalTop += DF.LocalArenaSize;
-    if (LocalTop > LocalStack.size())
-      LocalStack.resize(std::max(LocalTop, LocalStack.size() * 2));
-
-    int64_t *Rg = RegStack.data() + Base;
-    int64_t *Lc = LocalStack.data() + LocalBase;
-    for (const auto &CI : DF.ConstInits)
-      Rg[CI.Slot] = CI.Val;
-    for (uint32_t I = 0; I != DF.NumArgs; ++I)
-      Rg[I] = Args[I];
-    // Frame-local memory does carry defined initial values.
-    for (const auto &L : DF.Locals)
-      std::fill_n(Lc + L.Off, L.Size, L.Init);
-    return execLoop(DF, FS, Base, LocalBase, RetVal, Depth, 0,
-                    DF.Blocks[0].First, /*Resume=*/false);
-  }
-
   /// The dispatch loop over an already-pushed frame. A fresh call enters
-  /// at block 0; a native deopt re-enters mid-block at \p StartIdx with
-  /// \p Resume set — the block counter and every instruction before
-  /// StartIdx were already accounted by the compiled code, so the resume
-  /// path skips the block preamble and starts with per-instruction fuel.
+  /// at block 0; a native deopt re-enters mid-block at \p ResumeAt — the
+  /// block counter and every instruction before it were already accounted
+  /// by the compiled code, so the resume path skips the block preamble and
+  /// starts with per-instruction fuel. With \p Tiering (the native engine)
+  /// a retreating edge ticks the hotness ledger and may hand the frame to
+  /// compiled code (OSR); a deopt from there resumes in this same loop.
+  /// The bytecode engine's instance carries no tiering check at all.
+  template <bool Tiering>
   bool execLoop(const DecodedFunction &DF, FnState &FS, size_t Base,
                 size_t LocalBase, int64_t &RetVal, unsigned Depth,
-                uint32_t StartBI, uint32_t StartIdx, bool Resume) {
+                const BInst *ResumeAt) {
     if (PhiScratch.size() < DF.MaxPhiCopies)
       PhiScratch.resize(DF.MaxPhiCopies);
     int64_t *Rg = RegStack.data() + Base;
@@ -624,12 +638,13 @@ private:
     auto U = [](int64_t X) { return static_cast<uint64_t>(X); };
 
     uint64_t Prepaid = 0;
-    uint32_t BI = StartBI;
-    const BInst *IP = nullptr;
+    uint32_t BI = 0;
+    const BInst *IP = ResumeAt;
     const size_t NB = DF.Blocks.size();
 
     // Taking edge E: bump its counter, run its pre-resolved phi moves with
     // parallel-copy semantics (gather, then scatter), move to the target.
+    // Returns whether the activation should tick the hotness ledger.
     auto TakeEdge = [&](int32_t EI) {
       const BEdge &E = DF.Edges[EI];
       ++FS.Cnt[NB + E.Id];
@@ -642,14 +657,14 @@ private:
           Rg[C[I].Dst] = PhiScratch[I];
       }
       BI = E.To;
+      return Tiering && E.Retreating;
     };
 
-    if (Resume) {
+    if (ResumeAt) {
       // Deopt re-entry: the compiled code already counted this block and
-      // every instruction before StartIdx; pay fuel per instruction from
+      // every instruction before ResumeAt; pay fuel per instruction from
       // here (Prepaid == 0) so exhaustion fires exactly where the JIT's
       // per-instruction ledger says it must.
-      IP = DF.Code.data() + StartIdx;
       goto Dispatch;
     }
 
@@ -689,12 +704,13 @@ private:
       case BOp::Div:
         if (Rg[X.B] == 0)
           return trap("division by zero");
-        Rg[X.Dst] = Rg[X.A] / Rg[X.B];
+        // Division by -1 is wrapping negation: INT64_MIN / -1 overflows.
+        Rg[X.Dst] = Rg[X.B] == -1 ? Wrap(0 - U(Rg[X.A])) : Rg[X.A] / Rg[X.B];
         break;
       case BOp::Rem:
         if (Rg[X.B] == 0)
           return trap("remainder by zero");
-        Rg[X.Dst] = Rg[X.A] % Rg[X.B];
+        Rg[X.Dst] = Rg[X.B] == -1 ? 0 : Rg[X.A] % Rg[X.B];
         break;
       case BOp::And:
         Rg[X.Dst] = Rg[X.A] & Rg[X.B];
@@ -829,7 +845,6 @@ private:
               dispatchDecoded(CDF, *CS, ArgStack.data() + AB, Out, Depth + 1);
         } else {
           ++R.Interp.WalkFallbackCalls;
-          ++NumWalkFallbackCalls;
           CallOk = callWalk(Callee, ArgStack.data() + AB, NA, Out, Depth + 1);
         }
         ArgStack.resize(AB);
@@ -851,10 +866,12 @@ private:
         R.Output.push_back(Rg[X.A]);
         break;
       case BOp::Jmp:
-        TakeEdge(X.T0);
+        if (TakeEdge(X.T0))
+          goto BackEdge;
         goto NextBlock;
       case BOp::JmpIf:
-        TakeEdge(Rg[X.A] != 0 ? X.T0 : X.T1);
+        if (TakeEdge(Rg[X.A] != 0 ? X.T0 : X.T1))
+          goto BackEdge;
         goto NextBlock;
       case BOp::Ret:
         RetVal = X.A >= 0 ? Rg[X.A] : 0;
@@ -865,6 +882,32 @@ private:
         return trap(DF.TrapMsgs[X.T0]);
       }
     }
+
+  BackEdge: {
+    // A retreating edge under the native engine, edge counted and phi
+    // copies done: tick the ledger, and once the function has code,
+    // continue this activation in it at block BI (OSR). Fuel is exact
+    // here — a block's prepaid segment always ends at its terminator.
+    jit::NativeCode *NC = tierUp(DF, FS);
+    if (!NC)
+      goto NextBlock;
+    ++R.Interp.OsrEntries;
+    uint32_t ResumeIdx = 0;
+    switch (runNative(*NC, FS, Base, LocalBase, RetVal, Depth, BI,
+                      ResumeIdx)) {
+    case NativeExit::Returned:
+      return true;
+    case NativeExit::Trapped:
+      return false;
+    case NativeExit::Deopted:
+      break;
+    }
+    // Callees may have grown the arenas while the compiled code ran.
+    Rg = RegStack.data() + Base;
+    Lc = LocalStack.data() + LocalBase;
+    IP = DF.Code.data() + ResumeIdx;
+    goto Dispatch;
+  }
   }
 
   //===-- Reference tree-walker --------------------------------------------===
@@ -886,13 +929,28 @@ private:
     if (NArgs != F.numArgs())
       return trap("arity mismatch calling " + F.name());
 
-    Frame Fr;
     // Frame-local storage for non-address-taken locals that survived in
-    // memory form (normally none after mem2reg, but raw IR may have them).
+    // memory form (normally none after mem2reg, but raw IR may have them),
+    // held against the same budget as the bytecode frames' arenas.
+    uint64_t FrameCells = 0;
+    for (const auto &L : F.locals())
+      if (!L->isAddressTaken())
+        FrameCells += L->size();
+    if (LocalTop + WalkLocalCells + FrameCells > jit::CellLimit)
+      return trap("frame-local memory overflow in " + F.name() + " (budget " +
+                  std::to_string(jit::CellLimit) + " cells)");
+    WalkLocalCells += FrameCells;
+    struct CellsHeld {
+      uint64_t &Live;
+      uint64_t N;
+      ~CellsHeld() { Live -= N; }
+    } Held{WalkLocalCells, FrameCells};
     std::unordered_map<const MemoryObject *, std::vector<int64_t>> LocalMem;
     for (const auto &L : F.locals())
       if (!L->isAddressTaken())
         LocalMem[L.get()].assign(L->size(), L->initialValue());
+
+    Frame Fr;
 
     for (unsigned I = 0; I != F.numArgs(); ++I)
       Fr.set(F.arg(I), Args[I]);
@@ -972,12 +1030,13 @@ private:
           case BinOpKind::Div:
             if (Rv == 0)
               return trap("division by zero");
-            Out = L / Rv;
+            // Wrapping negation: INT64_MIN / -1 overflows.
+            Out = Rv == -1 ? Wrap(0 - static_cast<uint64_t>(L)) : L / Rv;
             break;
           case BinOpKind::Rem:
             if (Rv == 0)
               return trap("remainder by zero");
-            Out = L % Rv;
+            Out = Rv == -1 ? 0 : L % Rv;
             break;
           case BinOpKind::And: Out = L & Rv; break;
           case BinOpKind::Or: Out = L | Rv; break;
@@ -1156,7 +1215,7 @@ ExecutionResult Interpreter::run(const std::string &EntryName,
   ExecEngine E(M, Fuel, R, Engine, AM, JitThreshold);
   int64_t Ret = 0;
   R.Ok = true;
-  if (E.call(*Entry, Args.data(), Args.size(), Ret, 0))
+  if (E.start() && E.call(*Entry, Args.data(), Args.size(), Ret, 0))
     R.ExitValue = Ret;
   E.finish();
   Span.end();
@@ -1177,6 +1236,14 @@ ExecutionResult Interpreter::run(const std::string &EntryName,
     break;
   }
   NumInstsExecuted += R.Counts.Instructions;
+  // Per-event counters are kept per run and published once, so hot paths
+  // (a native call) touch no shared atomic.
+  NumDecodeCacheHits += R.Interp.DecodeCacheHits;
+  NumWalkFallbackCalls += R.Interp.WalkFallbackCalls;
+  NumNativeCompiles += R.Interp.FunctionsCompiled;
+  NumNativeCalls += R.Interp.NativeCalls;
+  NumNativeOsrEntries += R.Interp.OsrEntries;
+  NumNativeDeopts += R.Interp.Deopts;
   ExecMicros += static_cast<uint64_t>(R.Interp.ExecSeconds * 1e6);
   return R;
 }

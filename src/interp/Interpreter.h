@@ -21,15 +21,17 @@
 /// Three engines share these semantics (docs/INTERPRETER.md):
 ///  - the *tree-walker*, the reference engine: interprets the IR in place,
 ///    one hash lookup per operand;
-///  - the *bytecode* engine (default): functions are decoded once into
-///    dense slot-numbered instruction streams (interp/Bytecode.h) and run
-///    by a flat register-file dispatch loop with per-block fuel accounting
-///    and dense block/edge counters;
-///  - the *native* engine: bytecode plus a hotness-tiered x86-64 template
-///    JIT (jit/NativeJIT.h) that compiles functions from their decoded
-///    BInst arrays once a call-count threshold is crossed, deopting back
-///    into the bytecode loop at the exact instruction for traps and fuel
-///    exhaustion. On non-x86-64 hosts it degrades to the bytecode engine.
+///  - the *bytecode* engine (the default where the JIT is unsupported):
+///    functions are decoded once into dense slot-numbered instruction
+///    streams (interp/Bytecode.h) and run by a flat register-file dispatch
+///    loop with per-block fuel accounting and dense block/edge counters;
+///  - the *native* engine (the default on x86-64): bytecode plus a
+///    hotness-tiered x86-64 template JIT (jit/NativeJIT.h) that compiles
+///    functions from their decoded BInst arrays once their ledger of
+///    calls and loop back edges crosses a threshold, entering compiled
+///    code on calls and, mid-activation, at back edges (OSR), and deopting
+///    back into the bytecode loop at the exact instruction for traps and
+///    fuel exhaustion. On other hosts it degrades to the bytecode engine.
 /// Results are required to be identical field by field; the parity suite
 /// (tests/InterpParityTest.cpp) and the srp_oracle_walk / srp_native_parity
 /// ctest gates enforce it. Functions the decoder cannot statically validate
@@ -55,8 +57,9 @@ class Module;
 /// Which execution engine an Interpreter uses.
 enum class InterpEngine : uint8_t {
   Walk,     ///< Reference tree-walker (slow, obviously correct).
-  Bytecode, ///< Decoded dispatch loop (default).
-  Native,   ///< Bytecode + hotness-tiered x86-64 baseline JIT.
+  Bytecode, ///< Decoded dispatch loop (default without the JIT).
+  Native,   ///< Bytecode + hotness-tiered x86-64 baseline JIT (default
+            ///< where jit::nativeJitSupported()).
 };
 
 /// Stable spelling for flags/JSON: "walk" / "bytecode" / "native".
@@ -65,9 +68,10 @@ const char *interpEngineName(InterpEngine E);
 /// Inverse of interpEngineName; returns false for unknown spellings.
 bool parseInterpEngine(const std::string &Name, InterpEngine &Out);
 
-/// The build-default engine (Bytecode), overridable per process with
-/// SRP_INTERP=walk|bytecode|native — the hook the srp_oracle_walk and
-/// native-engine ctest gates use to re-run suites on another engine.
+/// The default engine — Native where the host supports the JIT, Bytecode
+/// elsewhere — overridable per process with
+/// SRP_INTERP=walk|bytecode|native, the hook the srp_oracle_walk and
+/// srp_oracle_bytecode ctest gates use to re-run suites on another engine.
 InterpEngine defaultInterpEngine();
 
 /// Dynamic operation counters. "Singleton" loads/stores are the paper's
@@ -92,6 +96,8 @@ struct InterpRunStats {
   uint64_t WalkFallbackCalls = 0; ///< Calls executed by the walker fallback.
   uint64_t FunctionsCompiled = 0; ///< Native-tier compiles this run.
   uint64_t NativeCalls = 0;       ///< Calls executed by JIT-compiled code.
+  uint64_t OsrEntries = 0; ///< Activations entered into compiled code at a
+                           ///< retreating edge (on-stack replacement).
   uint64_t Deopts = 0;            ///< Native frames resumed in bytecode.
   double DecodeSeconds = 0;
   double CompileSeconds = 0; ///< Native-tier compile time this run.
@@ -139,9 +145,11 @@ public:
 
   InterpEngine engine() const { return Engine; }
 
-  /// Native engine only: call count at which a function is JIT-compiled.
-  /// 0 keeps the process default (SRP_JIT_THRESHOLD, else 2); 1 compiles
-  /// on first call — what the parity suites use to force the JIT path.
+  /// Native engine only: hotness-ledger ticks (calls plus retreating
+  /// edges taken in bytecode) at which a function is JIT-compiled. 0 keeps
+  /// the process default (SRP_JIT_THRESHOLD, else
+  /// jit::DefaultJitThreshold); 1 compiles on first call — what the parity
+  /// suites use to force the JIT path.
   void setJitThreshold(uint64_t T) { JitThreshold = T; }
 
   /// Runs \p EntryName (default "main") with the given arguments.

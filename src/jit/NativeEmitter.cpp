@@ -11,11 +11,12 @@
 //   r12  block+edge counter array           r15  memory-image cell base
 //   [rsp] caller FnState (for the call helper)
 //
-// rax/rcx/rdx are scratch within a single template. Every template is
-// deopt-exact: the fuel check and all trap preconditions run *before* any
-// accounting or state change for that instruction, so when the code bails
-// out the bytecode loop re-executes the instruction from scratch and
-// produces byte-identical counters, fuel charge and trap message.
+// r9 carries the entry's start block through the prologue only; rax/rcx/rdx
+// are scratch within a single template. Every template is deopt-exact: the
+// fuel check and all trap preconditions run *before* any accounting or
+// state change for that instruction, so when the code bails out the
+// bytecode loop re-executes the instruction from scratch and produces
+// byte-identical counters, fuel charge and trap message.
 //
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +38,7 @@ uint64_t srp::jit::defaultJitThreshold() {
     if (End != V && N > 0)
       return N;
   }
-  return 2;
+  return DefaultJitThreshold;
 }
 
 #if defined(__x86_64__) && (defined(__linux__) || defined(__APPLE__))
@@ -46,8 +47,8 @@ namespace {
 
 // Register numbers (x86-64 encoding).
 constexpr uint8_t RAX = 0, RCX = 1, RDX = 2, RBX = 3, RSP = 4, RBP = 5,
-                  RSI = 6, RDI = 7, R8 = 8, R12 = 12, R13 = 13, R14 = 14,
-                  R15 = 15;
+                  RSI = 6, RDI = 7, R8 = 8, R9 = 9, R12 = 12, R13 = 13,
+                  R14 = 14, R15 = 15;
 
 // Condition codes (the tttn field of jcc/setcc).
 constexpr uint8_t CC_B = 0x2, CC_AE = 0x3, CC_E = 0x4, CC_NE = 0x5,
@@ -185,6 +186,13 @@ public:
     byte(0x81);
     modrm(3, 7, Reg);
     u32(static_cast<uint32_t>(Imm));
+  }
+  // cmp reg32, imm32
+  void cmpR32I32(uint8_t Reg, uint32_t Imm) {
+    rex(false, 0, 0, Reg);
+    byte(0x81);
+    modrm(3, 7, Reg);
+    u32(Imm);
   }
   // cmp reg64, imm8 (sign-extended)
   void cmpRI8(uint8_t Reg, int8_t Imm) {
@@ -450,8 +458,8 @@ class FunctionCompiler {
       A.movRM(RCX, RBX, slotDisp(X.B));
       A.testRR(RCX, RCX);
       deoptIf(CC_E, Idx); // division/remainder by zero trap
-      // INT64_MIN / -1 overflows idiv (#DE); the bytecode engine's C++
-      // semantics are well defined, so take the slow path for any -1.
+      // INT64_MIN / -1 overflows idiv (#DE); the bytecode engine defines
+      // x / -1 as wrapping negation, so take the slow path for any -1.
       A.cmpRI8(RCX, -1);
       deoptIf(CC_E, Idx);
       payFuel();
@@ -690,6 +698,22 @@ public:
     A.movRR(R12, RCX);
     A.movRM(R13, R14, offFuel);
     A.movRM(R15, R14, offMemCells);
+    // OSR entry: a nonzero r9d names a retreating edge's target block,
+    // dispatched out of line so a call pays one compare. The target's
+    // label counts the block and pays fuel per instruction, so the
+    // handover is exact.
+    std::vector<uint32_t> OsrTargets;
+    std::vector<bool> Seen(NB, false);
+    for (const BEdge &E : DF.Edges)
+      if (E.Retreating && E.To != 0 && !Seen[E.To]) {
+        Seen[E.To] = true;
+        OsrTargets.push_back(E.To);
+      }
+    Label OsrDispatch;
+    if (!OsrTargets.empty()) {
+      A.cmpR32I32(R9, 0);
+      A.jcc(CC_NE, OsrDispatch);
+    }
 
     for (size_t B = 0; B != NB; ++B) {
       A.bind(BlockL[B]);
@@ -722,8 +746,15 @@ public:
     A.bind(TrapExit); // Status already set by the helper
     A.xorEaxEax();
     A.jmp(EpilogueTail);
+    A.bind(OsrDispatch);
+    for (uint32_t B : OsrTargets) {
+      A.cmpR32I32(R9, B);
+      A.jcc(CC_E, BlockL[B]);
+    }
+    A.jmp(BlockL[0]); // not an OSR target: outside the contract
 
-    for (Label *Lb : {&DeoptCommon, &TrapExit, &RetOk, &EpilogueTail})
+    for (Label *Lb : {&DeoptCommon, &TrapExit, &RetOk, &EpilogueTail,
+                      &OsrDispatch})
       A.patch(*Lb);
     for (Label &Lb : BlockL)
       A.patch(Lb);
@@ -749,9 +780,9 @@ bool srp::jit::compileFunction(NativeCode &NC, const DecodedFunction &DF,
   if (DF.NeedsWalk || DF.Empty || DF.Blocks.empty())
     return false;
   // Every displacement the templates bake must fit a signed 32-bit
-  // immediate with headroom; frames and images anywhere near these limits
-  // have no business being JIT-compiled.
-  constexpr uint64_t Lim = 1u << 27; // cells / slots; *8 stays in int32
+  // immediate with headroom. The interpreter's cell budget keeps running
+  // programs' memory within the limit; slot counts are checked here.
+  constexpr uint64_t Lim = CellLimit;
   if (DF.NumSlots > Lim || DF.LocalArenaSize > Lim || L.NumCells > Lim ||
       DF.Blocks.size() + DF.Edges.size() > Lim)
     return false;

@@ -14,7 +14,8 @@
 /// counters) and keeps exact observable accounting: fuel is decremented
 /// per instruction (the bytecode engine's segment prepay nets out to the
 /// same one-unit-per-instruction), dynamic load/store/copy counters are
-/// accumulated as deltas in the NativeCtx and flushed by the engine.
+/// accumulated as deltas in the NativeCtx and added to the run's counts
+/// when the run ends.
 ///
 /// Anything the templates cannot express exactly — a trap precondition
 /// (division by zero, out-of-bounds index, wild pointer, INT64_MIN/-1
@@ -26,11 +27,17 @@
 /// (native when hot, bytecode otherwise, walker for undecodable callees)
 /// and re-anchors the frame pointers after possible arena growth.
 ///
+/// Entry is the mirror image of deopt. A compiled function can be entered
+/// at block 0 (a call) or, *on stack replacement* (OSR), at the target of
+/// any retreating edge: a bytecode activation whose hotness ledger
+/// crosses the threshold on a back edge hands its live frame to compiled
+/// code, which resumes at that block's label.
+///
 /// NativeCode is cached through the AnalysisManager
 /// (AnalysisKind::NativeCode) and invalidated together with the bytecode
-/// decode it was compiled from; the call-count ledger (HotCount) lives in
-/// the cached object, so hotness accumulates across profile + measure
-/// runs until an IR edit retires it.
+/// decode it was compiled from; the hotness ledger (HotCount) lives in the
+/// cached object, so hotness accumulates across profile + measure runs
+/// until an IR edit retires it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,8 +77,8 @@ using PrintHelperFn = void (*)(NativeCtx *, int64_t V);
 struct NativeCtx {
   int64_t *MemCells = nullptr; ///< Base of the flat memory image.
   uint64_t FuelLeft = 0;       ///< Synced at entry/exit and around calls.
-  /// Dynamic-count deltas accumulated by compiled code; the engine flushes
-  /// them into ExecutionResult::Counts after every native invocation.
+  /// Dynamic-count deltas accumulated by compiled code; the engine adds
+  /// them to ExecutionResult::Counts once, when the run ends.
   uint64_t Instructions = 0;
   uint64_t SingletonLoads = 0;
   uint64_t SingletonStores = 0;
@@ -93,10 +100,21 @@ struct NativeCtx {
 };
 
 /// Compiled entry point. Arguments: context, register frame base, local
-/// arena base, merged block+edge counter array (blocks first), and the
-/// caller-side FnState the call helper needs to resolve call sites.
+/// arena base, merged block+edge counter array (blocks first), the
+/// caller-side FnState the call helper needs to resolve call sites, and
+/// the block to start at: 0 for a call, or (OSR) the target block of a
+/// retreating edge the bytecode loop has just taken — edge counted, phi
+/// copies done. Entry at any other block is undefined.
 using EntryFn = int64_t (*)(NativeCtx *, int64_t *Rg, int64_t *Lc,
-                            uint64_t *Cnt, void *FnState);
+                            uint64_t *Cnt, void *FnState,
+                            uint32_t StartBlock);
+
+/// The largest memory geometry the templates encode: object sizes, the
+/// static image, and a frame's slots and local arena, in cells (every
+/// displacement, cells * 8, stays within a signed 32-bit immediate). The
+/// interpreter refuses to run programs whose memory exceeds it, so a
+/// program that runs never loses the native tier to its size.
+inline constexpr uint64_t CellLimit = uint64_t(1) << 27;
 
 /// Geometry of the flat memory image a compile bakes in as immediates
 /// (absolute cell bases for singleton/array accesses, the image size for
@@ -110,12 +128,14 @@ struct MemoryLayout {
 };
 
 /// Per-function native-tier cache entry (AnalysisKind::NativeCode).
-/// Starts cold: build() makes an empty entry, the engine bumps HotCount
-/// per call and compiles once the threshold is crossed. Invalidated (via
-/// the manager) whenever the underlying decode is.
+/// Starts cold: build() makes an empty entry, the engine ticks HotCount
+/// and compiles once the threshold is crossed. Invalidated (via the
+/// manager) whenever the underlying decode is.
 class NativeCode {
 public:
-  uint64_t HotCount = 0;  ///< Calls observed under the native engine.
+  /// The hotness ledger: one tick per call and per retreating edge a
+  /// bytecode activation takes, under the native engine.
+  uint64_t HotCount = 0;
   bool Attempted = false; ///< A compile ran (Entry null => unsupported).
   uint64_t ImageSig = 0;  ///< MemoryLayout::Sig the code was baked for.
   CodeBuffer Buf;
@@ -129,9 +149,12 @@ public:
 bool compileFunction(NativeCode &NC, const DecodedFunction &DF,
                      const MemoryLayout &L);
 
-/// The call-count threshold at which a function is JIT-compiled: the
-/// SRP_JIT_THRESHOLD environment knob, default 2 (profile run warms,
-/// measure run executes natively).
+/// Ledger ticks (calls + retreating edges) at which a function is
+/// JIT-compiled by default; docs/INTERPRETER.md has the sweep behind it.
+inline constexpr uint64_t DefaultJitThreshold = 128;
+
+/// The threshold in effect: the SRP_JIT_THRESHOLD environment knob, else
+/// DefaultJitThreshold. 1 compiles on the first call.
 uint64_t defaultJitThreshold();
 
 } // namespace srp::jit

@@ -77,10 +77,11 @@ struct PipelineOptions {
   /// -interp=walk|bytecode|native; all produce identical
   /// ExecutionResults).
   InterpEngine Interp = defaultInterpEngine();
-  /// Native engine only: call count at which a function is JIT-compiled.
-  /// 0 keeps the process default (SRP_JIT_THRESHOLD, else 2 — profile run
-  /// warms the ledger, measurement runs natively); 1 compiles on first
-  /// call, which the parity suites use to force the JIT path.
+  /// Native engine only: hotness-ledger ticks (calls plus retreating
+  /// edges taken in bytecode) at which a function is JIT-compiled. 0
+  /// keeps the process default (SRP_JIT_THRESHOLD, else
+  /// jit::DefaultJitThreshold); 1 compiles on first call, which the parity
+  /// suites use to force the JIT path.
   uint64_t JitThreshold = 0;
 };
 

@@ -27,6 +27,7 @@
 #include "frontend/Lowering.h"
 #include "ir/IRParser.h"
 #include "ir/Printer.h"
+#include "jit/NativeJIT.h"
 #include "pipeline/Job.h"
 #include "server/Client.h"
 #include "server/Server.h"
@@ -192,18 +193,20 @@ int main(int argc, char **argv) {
           "rebuild every analysis on each request (also: "
           "SRP_DISABLE_ANALYSIS_CACHE=1)",
           [&] { Opts.DisableAnalysisCache = true; });
-  OP.value("interp", "<bytecode|walk|native>",
+  OP.value("interp", "<native|bytecode|walk>",
            "execution engine for the profile and measurement runs "
-           "(default bytecode; walk is the reference tree-walker; native "
-           "adds the hotness-tiered x86-64 baseline JIT; also: "
-           "SRP_INTERP)",
+           "(default native on x86-64 hosts, bytecode elsewhere; native is "
+           "bytecode plus the hotness-tiered x86-64 baseline JIT; walk is "
+           "the reference tree-walker; also: SRP_INTERP)",
            [&](const std::string &V) {
              return parseInterpEngine(V, Opts.Interp);
            });
   OP.value("jit-threshold", "<n>",
-           "with -interp=native: call count at which a function is "
-           "JIT-compiled (default 2, 1 = first call; also: "
-           "SRP_JIT_THRESHOLD)",
+           "with -interp=native: hotness-ledger ticks (calls plus loop "
+           "back edges taken in bytecode) at which a function is "
+           "JIT-compiled; a running loop then continues natively (default " +
+               std::to_string(jit::DefaultJitThreshold) +
+               ", 1 = first call; also: SRP_JIT_THRESHOLD)",
            [&](const std::string &V) {
              char *End = nullptr;
              unsigned long long N = std::strtoull(V.c_str(), &End, 10);

@@ -12,7 +12,8 @@
 /// and edge frequencies, final memory, and on failing runs the exact trap
 /// message — on every workload x promotion-mode combination and on every
 /// trap path (bounds, wild pointers, stack overflow, arity, use-before-def,
-/// and fuel exhaustion at exact instruction boundaries). Trap and fuel
+/// the memory-cell budget, and fuel exhaustion at exact instruction
+/// boundaries). Trap and fuel
 /// cases are where the native tier's deopt machinery must land on the
 /// same instruction the other engines trap at.
 ///
@@ -27,6 +28,7 @@
 #include "interp/Interpreter.h"
 #include "ir/IRBuilder.h"
 #include "ir/Module.h"
+#include "jit/NativeJIT.h"
 #include "pipeline/Pipeline.h"
 #include "TestHelpers.h"
 #include <fstream>
@@ -235,6 +237,55 @@ TEST(InterpParityTest, ArityMismatchTrapsIdentically) {
   ExecutionResult W = expectParity(*M, "arity-mismatch");
   EXPECT_FALSE(W.Ok);
   EXPECT_EQ(W.Error, "arity mismatch calling takes_one");
+}
+
+//===--------------------------------------------------------------------===//
+// Memory-cell budget: memory beyond jit::CellLimit cells is a run error in
+// every engine, raised before anything is allocated.
+//===--------------------------------------------------------------------===//
+
+const InterpEngine AllEngines[] = {InterpEngine::Walk, InterpEngine::Bytecode,
+                                   InterpEngine::Native};
+
+TEST(InterpParityTest, StaticMemoryOverBudgetIsARunError) {
+  auto M = compileOrDie(R"(
+    int a[2000000000];
+    int main() { a[1] = 3; print(a[1]); return 0; }
+  )");
+  for (InterpEngine E : AllEngines) {
+    ExecutionResult R = Interpreter(*M, DefaultFuel, E).run();
+    EXPECT_FALSE(R.Ok) << interpEngineName(E);
+    EXPECT_EQ(R.Error, "static memory of 2000000000 cells exceeds the budget "
+                       "of 134217728 cells")
+        << interpEngineName(E);
+    EXPECT_EQ(R.Counts.Instructions, 0u) << interpEngineName(E);
+  }
+  expectParity(*M, "image-over-budget");
+}
+
+TEST(InterpParityTest, FrameLocalMemoryOverBudgetIsARunError) {
+  // Mini-C has no local arrays; build a frame-local one through the API.
+  auto M = std::make_unique<Module>("frame");
+  Function *F = M->createFunction("f", Type::Void);
+  F->createLocal("big", MemoryObject::Kind::Array,
+                 static_cast<unsigned>(jit::CellLimit) + 1);
+  IRBuilder FB(F->createBlock("entry"));
+  FB.ret();
+  Function *Main = M->createFunction("main", Type::Int);
+  IRBuilder B(Main->createBlock("entry"));
+  B.print(B.constant(1));
+  B.call(F, {});
+  B.ret(B.constant(0));
+
+  for (InterpEngine E : AllEngines) {
+    ExecutionResult R = Interpreter(*M, DefaultFuel, E).run();
+    EXPECT_FALSE(R.Ok) << interpEngineName(E);
+    EXPECT_EQ(R.Error,
+              "frame-local memory overflow in f (budget 134217728 cells)")
+        << interpEngineName(E);
+    EXPECT_EQ(R.Output, std::vector<int64_t>{1}) << interpEngineName(E);
+  }
+  expectParity(*M, "frame-over-budget");
 }
 
 //===--------------------------------------------------------------------===//

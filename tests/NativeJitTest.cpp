@@ -6,11 +6,13 @@
 ///
 /// \file
 /// Behavioural tests for the x86-64 baseline-JIT tier (jit/NativeJIT.h):
-/// hotness tiering (bytecode until the call-count threshold, compiled and
-/// cached after), the deopt edges (fuel exhaustion mid-JIT, traps raised
-/// from compiled code, deopt-and-continue for conditions the templates
-/// refuse to encode), analysis-manager invalidation when a promoter edits
-/// a compiled function, and the W^X lifecycle of the code pages.
+/// hotness tiering (a ledger of calls and retreating edges; bytecode until
+/// the threshold, compiled and cached after), on-stack-replacement entry
+/// into compiled code at a loop's back edge, the deopt edges (fuel
+/// exhaustion mid-JIT, traps raised from compiled code, deopt-and-continue
+/// for conditions the templates refuse to encode), analysis-manager
+/// invalidation when a promoter edits a compiled function, and the W^X
+/// lifecycle of the code pages.
 ///
 /// The NativeParityHeavyTest matrix at the bottom is the
 /// `srp_native_parity` ctest gate: every workload x promotion mode,
@@ -29,6 +31,7 @@
 #include "ir/Module.h"
 #include "jit/NativeJIT.h"
 #include "pipeline/Pipeline.h"
+#include "support/Statistics.h"
 #include "TestHelpers.h"
 #include <cinttypes>
 #include <fstream>
@@ -68,6 +71,28 @@ ExecutionResult runNative(Module &M, uint64_t Threshold,
   Interpreter I(M, Fuel, InterpEngine::Native, AM);
   I.setJitThreshold(Threshold);
   return I.run();
+}
+
+/// Process-wide count of activations that entered compiled code at a
+/// retreating edge; tests compare it before and after a run.
+uint64_t osrEntries() {
+  return stats::snapshot().at("interp.native-osr-entries");
+}
+
+/// A native run at \p Threshold checked against the walker and the
+/// bytecode engine field by field; returns the native result and the
+/// run's OSR entries through \p Osr.
+ExecutionResult expectNativeParity(Module &M, uint64_t Threshold,
+                                   const std::string &What, uint64_t &Osr,
+                                   uint64_t Fuel = DefaultFuel) {
+  ExecutionResult W = Interpreter(M, Fuel, InterpEngine::Walk).run();
+  ExecutionResult B = Interpreter(M, Fuel, InterpEngine::Bytecode).run();
+  expectSameResult(W, B, What + " [bytecode]");
+  const uint64_t Before = osrEntries();
+  ExecutionResult N = runNative(M, Threshold, nullptr, Fuel);
+  Osr = osrEntries() - Before;
+  expectSameResult(B, N, What + " [native]");
+  return N;
 }
 
 //===--------------------------------------------------------------------===//
@@ -117,8 +142,8 @@ TEST(NativeJitTest, TieringCompilesAtThresholdAndCachesAcrossRuns) {
   )");
   AnalysisManager AM(M.get());
 
-  // Threshold 2, one call per function per run: the first run stays on
-  // bytecode and only warms the ledger.
+  // Threshold 2 and no loops: each run ticks each function's ledger once
+  // (its one call), so the first run stays on bytecode and only warms it.
   ExecutionResult R1 = runNative(*M, 2, &AM);
   ASSERT_TRUE(R1.Ok) << R1.Error;
   EXPECT_EQ(R1.Interp.FunctionsCompiled, 0u);
@@ -138,6 +163,55 @@ TEST(NativeJitTest, TieringCompilesAtThresholdAndCachesAcrossRuns) {
   EXPECT_EQ(R3.Interp.NativeCalls, 2u);
 
   // All three runs are observably identical.
+  expectSameResult(R1, R2, "run1-vs-run2");
+  expectSameResult(R1, R3, "run1-vs-run3");
+}
+
+TEST(NativeJitTest, LedgerTicksOnCallsAndRetreatingEdges) {
+  if (!jit::nativeJitSupported())
+    GTEST_SKIP() << "no baseline JIT on this host";
+  auto M = compileOrDie(R"(
+    int g = 0;
+    void bump() { g = g + 1; }
+    void main() {
+      int i = 0;
+      while (i < 3) { bump(); i = i + 1; }
+    }
+  )");
+  AnalysisManager AM(M.get());
+  Function *Main = M->getFunction("main");
+  Function *Bump = M->getFunction("bump");
+  ASSERT_TRUE(Main && Bump);
+
+  // Far below the threshold: main ticks once for its call and once per
+  // back edge (3), bump once per call (3); nothing compiles.
+  ExecutionResult R1 = runNative(*M, 100, &AM);
+  ASSERT_TRUE(R1.Ok) << R1.Error;
+  EXPECT_EQ(AM.get<jit::NativeCode>(*Main).HotCount, 4u);
+  EXPECT_EQ(AM.get<jit::NativeCode>(*Bump).HotCount, 3u);
+  EXPECT_EQ(R1.Interp.FunctionsCompiled, 0u);
+
+  // Threshold 7: main's ledger reaches 7 on the second back edge of the
+  // next run (5 at the call, 6, 7), so that activation continues in
+  // compiled code mid-loop. Compiled back edges tick nothing, and bump's
+  // three calls leave its ledger at 6: still bytecode.
+  uint64_t Before = osrEntries();
+  ExecutionResult R2 = runNative(*M, 7, &AM);
+  ASSERT_TRUE(R2.Ok) << R2.Error;
+  EXPECT_EQ(osrEntries() - Before, 1u);
+  EXPECT_EQ(R2.Interp.FunctionsCompiled, 1u);
+  EXPECT_EQ(R2.Interp.NativeCalls, 0u);
+  EXPECT_EQ(AM.get<jit::NativeCode>(*Main).HotCount, 7u);
+  EXPECT_EQ(AM.get<jit::NativeCode>(*Bump).HotCount, 6u);
+
+  // Third run: main is entered natively on its call; bump compiles on
+  // its first call (its 7th tick) and every call runs natively.
+  Before = osrEntries();
+  ExecutionResult R3 = runNative(*M, 7, &AM);
+  ASSERT_TRUE(R3.Ok) << R3.Error;
+  EXPECT_EQ(osrEntries() - Before, 0u);
+  EXPECT_EQ(R3.Interp.FunctionsCompiled, 1u);
+  EXPECT_EQ(R3.Interp.NativeCalls, 4u);
   expectSameResult(R1, R2, "run1-vs-run2");
   expectSameResult(R1, R3, "run1-vs-run3");
 }
@@ -315,6 +389,210 @@ TEST(NativeJitTest, StackOverflowThroughNativeFramesMatches) {
   ExecutionResult N = runNative(*M, 1);
   expectSameResult(B, N, "stack-overflow-native");
   EXPECT_GE(N.Interp.NativeCalls, 1u);
+}
+
+//===--------------------------------------------------------------------===//
+// On-stack replacement: entering compiled code at a retreating edge.
+//===--------------------------------------------------------------------===//
+
+TEST(NativeJitTest, OnceCalledLoopEntersNativeCodeDuringItsFirstCall) {
+  if (!jit::nativeJitSupported())
+    GTEST_SKIP() << "no baseline JIT on this host";
+  // main is called once, so a call count would never make it hot; its
+  // back edges do, and the same activation finishes the loop natively.
+  auto M = compileOrDie(R"(
+    int g = 0;
+    int main() {
+      int i = 0;
+      while (i < 1000) { g = g + i; i = i + 1; }
+      print(g);
+      return g;
+    }
+  )");
+  uint64_t Osr = 0;
+  ExecutionResult N = expectNativeParity(*M, 16, "once-called-loop", Osr);
+  ASSERT_TRUE(N.Ok) << N.Error;
+  EXPECT_EQ(N.ExitValue, 499500);
+  EXPECT_EQ(Osr, 1u);
+  EXPECT_EQ(N.Interp.FunctionsCompiled, 1u);
+  EXPECT_EQ(N.Interp.NativeCalls, 0u); // never *called* natively
+  EXPECT_EQ(N.Interp.Deopts, 0u);
+}
+
+TEST(NativeJitTest, FuelSweepAcrossOsrEdge) {
+  if (!jit::nativeJitSupported())
+    GTEST_SKIP() << "no baseline JIT on this host";
+  // Threshold 4 hands the activation over on its third back edge; every
+  // budget from zero to completion must trap (or finish) at the same
+  // instruction with the same counts as bytecode, on both sides of the
+  // handover and across the deopts that fuel exhaustion causes after it.
+  auto M = compileOrDie(R"(
+    int g = 0;
+    int addone(int x) { return x + 1; }
+    void main() {
+      int i = 0;
+      while (i < 8) { i = addone(i); g = g + i; }
+      print(g);
+    }
+  )");
+  ExecutionResult Full = Interpreter(*M, DefaultFuel,
+                                     InterpEngine::Bytecode).run();
+  ASSERT_TRUE(Full.Ok) << Full.Error;
+  const uint64_t Total = Full.Counts.Instructions;
+  ASSERT_LT(Total, 500u) << "sweep program grew too large";
+
+  bool SawOsrThenDeopt = false;
+  uint64_t FuelAtFirstOsr = 0;
+  for (uint64_t Fuel = 0; Fuel <= Total + 2; ++Fuel) {
+    uint64_t Osr = 0;
+    ExecutionResult N = expectNativeParity(
+        *M, 4, "fuel=" + std::to_string(Fuel), Osr, Fuel);
+    if (Fuel < Total)
+      EXPECT_EQ(N.Error, "out of fuel (infinite loop?)") << Fuel;
+    else
+      EXPECT_TRUE(N.Ok) << Fuel;
+    if (Osr && !FuelAtFirstOsr)
+      FuelAtFirstOsr = Fuel;
+    SawOsrThenDeopt |= Osr != 0 && N.Interp.Deopts != 0;
+  }
+  // Budgets that run out before the third back edge never get there.
+  EXPECT_GT(FuelAtFirstOsr, 0u);
+  EXPECT_TRUE(SawOsrThenDeopt);
+}
+
+TEST(NativeJitTest, TrapsAfterOsrMatchBytecode) {
+  if (!jit::nativeJitSupported())
+    GTEST_SKIP() << "no baseline JIT on this host";
+  // Both traps fire dozens of iterations after the handover, so compiled
+  // code deopts and the bytecode loop raises them.
+  auto OutOfBounds = compileOrDie(R"(
+    int a[4];
+    int main() {
+      int i = 0;
+      int s = 0;
+      while (i < 100) { s = s + a[i / 20]; a[i % 4] = i; i = i + 1; }
+      return s;
+    }
+  )");
+  uint64_t Osr = 0;
+  ExecutionResult N = expectNativeParity(*OutOfBounds, 8, "oob-after-osr", Osr);
+  EXPECT_EQ(N.Error, "out-of-bounds read of a");
+  EXPECT_EQ(Osr, 1u);
+  EXPECT_EQ(N.Interp.Deopts, 1u);
+
+  auto DivZero = compileOrDie(R"(
+    int main() {
+      int i = 0;
+      int s = 0;
+      while (i < 100) { print(i); s = s + 1000 / (50 - i); i = i + 1; }
+      return s;
+    }
+  )");
+  N = expectNativeParity(*DivZero, 8, "div-zero-after-osr", Osr);
+  EXPECT_EQ(N.Error, "division by zero");
+  EXPECT_EQ(N.Output.size(), 51u);
+  EXPECT_EQ(Osr, 1u);
+  EXPECT_EQ(N.Interp.Deopts, 1u);
+}
+
+TEST(NativeJitTest, MinOverMinusOneDeoptReentersCompiledLoop) {
+  if (!jit::nativeJitSupported())
+    GTEST_SKIP() << "no baseline JIT on this host";
+  // Division by -1 deopts (idiv faults on INT64_MIN / -1) but is no trap:
+  // the bytecode loop computes the wrapped quotient, runs on to the back
+  // edge, and re-enters the compiled loop there. Every iteration after
+  // the handover makes that round trip, INT64_MIN / -1 included.
+  auto M = compileOrDie(R"(
+    int d;
+    int m;
+    int main() {
+      d = 0 - 1;
+      m = 0 - 9223372036854775807 - 1;
+      int s = 0;
+      int i = 0;
+      while (i < 20) {
+        print(m / d);
+        print(m % d);
+        s = s + i / d;
+        i = i + 1;
+      }
+      print(s);
+      return s;
+    }
+  )");
+  uint64_t Osr = 0;
+  ExecutionResult N = expectNativeParity(*M, 4, "min-over-minus-one", Osr);
+  ASSERT_TRUE(N.Ok) << N.Error;
+  EXPECT_EQ(N.Output.front(), INT64_MIN);
+  EXPECT_EQ(N.Output[1], 0);
+  EXPECT_EQ(N.ExitValue, -190);
+  // The handover happens on the third back edge; each of the remaining
+  // 17 iterations deopts once and re-enters at the next back edge.
+  EXPECT_EQ(Osr, 18u);
+  EXPECT_EQ(N.Interp.Deopts, 17u);
+}
+
+TEST(NativeJitTest, OsrFrameSurvivesArenaGrowthInCallee) {
+  if (!jit::nativeJitSupported())
+    GTEST_SKIP() << "no baseline JIT on this host";
+  // Without mem2reg every scalar local lives in the frame-local arena.
+  // After main's loop is handed over, each iteration recurses deeper
+  // than any before, so callees reallocate both shared arenas under the
+  // compiled frame; the frame must follow them, both in compiled code
+  // and in the bytecode loop after the division by -1 deopts it.
+  auto M = compileOrDie(R"(
+    int d;
+    int deep(int n) {
+      int k = n;
+      if (k == 0) return 0;
+      return 1 + deep(k - 1);
+    }
+    int main() {
+      d = 0 - 1;
+      int s = 0;
+      int i = 0;
+      while (i < 40) {
+        int r = deep(i * 9);
+        s = s + r / d;
+        i = i + 1;
+      }
+      print(s);
+      return s;
+    }
+  )");
+  uint64_t Osr = 0;
+  ExecutionResult N = expectNativeParity(*M, 3, "arena-growth", Osr);
+  ASSERT_TRUE(N.Ok) << N.Error;
+  EXPECT_EQ(N.ExitValue, -7020); // -(9 * (0 + 1 + ... + 39))
+  EXPECT_GE(Osr, 2u);
+  EXPECT_GE(N.Interp.Deopts, 1u);
+}
+
+TEST(NativeJitTest, OsrUnderRecursion) {
+  if (!jit::nativeJitSupported())
+    GTEST_SKIP() << "no baseline JIT on this host";
+  // Threshold 25 is crossed inside walk(10)'s first loop. The activations
+  // below it are entered natively on their calls; the ones above it are
+  // suspended in bytecode and take over their second loops at its first
+  // back edge, one OSR entry per activation.
+  auto M = compileOrDie(R"(
+    int g = 0;
+    int walk(int n) {
+      int i = 0;
+      while (i < 10) { g = g + n * i; i = i + 1; }
+      if (n > 0) walk(n - 1);
+      int j = 0;
+      while (j < 10) { g = g + j; j = j + 1; }
+      return g;
+    }
+    int main() { print(walk(12)); return g; }
+  )");
+  uint64_t Osr = 0;
+  ExecutionResult N = expectNativeParity(*M, 25, "recursion", Osr);
+  ASSERT_TRUE(N.Ok) << N.Error;
+  EXPECT_EQ(Osr, 3u); // walk(10) loop 1; walk(11) and walk(12) loop 2
+  EXPECT_EQ(N.Interp.FunctionsCompiled, 1u);
+  EXPECT_EQ(N.Interp.NativeCalls, 10u); // walk(9) ... walk(0)
 }
 
 //===--------------------------------------------------------------------===//

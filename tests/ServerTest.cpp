@@ -298,6 +298,41 @@ TEST(ServerTest, OversizedLiteralIsAnErrorResponse) {
   EXPECT_EQ(S.Srv.stats().JobsFailed, 1u);
 }
 
+// A static memory image beyond the interpreter's cell budget once aborted
+// the process with std::bad_alloc; it must come back as an ordinary failed
+// job, and the daemon must go on serving.
+TEST(ServerTest, MemoryOverBudgetIsAnErrorResponse) {
+  ServerOptions O;
+  O.SocketPath = testSocketPath("cells");
+  O.Threads = 1;
+  RunningServer S(O);
+  ASSERT_TRUE(S.Started);
+
+  Client Cl;
+  std::string Err;
+  ASSERT_TRUE(Cl.connect(O.SocketPath, Err)) << Err;
+  CompileResponse R;
+  ASSERT_TRUE(Cl.compile(
+      makeJob("int a[2000000000];\n"
+              "int main() { a[1] = 3; print(a[1]); return 0; }\n",
+              PromotionMode::Paper, "cells.mc"),
+      R, Err))
+      << Err;
+  EXPECT_FALSE(R.Ok);
+  ASSERT_FALSE(R.Errors.empty());
+  EXPECT_NE(R.Errors[0].find("exceeds the budget"), std::string::npos)
+      << R.Errors[0];
+
+  CompileResponse Next;
+  ASSERT_TRUE(Cl.compile(makeJob(overlappingProgram(2), PromotionMode::Paper,
+                                 "next.mc"),
+                         Next, Err))
+      << Err;
+  EXPECT_TRUE(Next.Ok);
+  EXPECT_TRUE(Cl.ping(Err)) << Err;
+  EXPECT_EQ(S.Srv.stats().JobsFailed, 1u);
+}
+
 // Floods the server through a raw socket — many requests written before
 // any response is read — with a capacity-1 queue. Every request must
 // still be answered (readers block, nothing is dropped) and the server

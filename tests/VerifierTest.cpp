@@ -375,6 +375,34 @@ TEST(CheckIdTest, MemNameLinks) {
   EXPECT_TRUE(checkAtFull(*F).has("mem-name-links"));
 }
 
+TEST(CheckIdTest, MemNameLinksUnlistedDef) {
+  Module M;
+  MemoryObject *G = M.createGlobal("g", 0);
+  Function *F = M.createFunction("f", Type::Void);
+  BasicBlock *A = F->createBlock("a");
+  IRBuilder B(A);
+  B.print(M.constant(7));
+  StoreInst *St = B.store(G, M.constant(1));
+  B.ret();
+  // The version names the store as its definition; the store's def list
+  // does not name the version.
+  MemoryName *V = F->createMemoryName(G);
+  V->setDef(St);
+  DiagnosticEngine DE = checkAtFull(*F);
+  const Diagnostic *D = nullptr;
+  for (const Diagnostic &X : DE.diagnostics())
+    if (X.CheckID == "mem-name-links")
+      D = &X;
+  ASSERT_NE(D, nullptr);
+  EXPECT_EQ(D->Message,
+            "memory version " + V->name() +
+                " not listed among its defining instruction's defs");
+  EXPECT_EQ(D->Loc.Function, "f");
+  EXPECT_EQ(D->Loc.Block, "a");
+  EXPECT_EQ(D->Loc.InstIndex, 1);
+  EXPECT_EQ(D->Loc.Snippet, "st [g], 1");
+}
+
 TEST(CheckIdTest, MemVersionConsistency) {
   Module M;
   MemoryObject *G = M.createGlobal("g", 0);

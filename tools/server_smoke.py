@@ -7,10 +7,12 @@ report is behaviourally identical to a local one-shot run of the same
 job: same ok / exit_value / printed output / final-memory digest /
 static+dynamic operation counts. The job list deliberately repeats
 (workload, mode) pairs so the server's job cache answers some requests.
-A follow-up phase resubmits already-cached pairs with `-interp=native`:
-those must miss the bytecode cache entries (the engine and JIT threshold
-are part of the job fingerprint), match a local native run, and hit on
-their own resubmission — an exact miss count pins the fingerprint.
+A follow-up phase resubmits already-cached pairs on the engine the first
+phase did not use (`-interp=bytecode` where the default engine is native,
+`-interp=native` elsewhere): those must miss the default-engine cache
+entries (the engine is part of the job fingerprint), match a local run on
+that engine, and hit on their own resubmission — an exact miss count pins
+the fingerprint.
 
 An observability phase then submits jobs with `--remarks-json` and
 `--trace-out` over `--connect` (under SRP_TRACE_DETERMINISTIC=1) and
@@ -263,41 +265,47 @@ def main():
         # repeats must come back as job-cache hits with identical reports.
         jobs = [(workloads[i % len(workloads)], MODES[i % len(MODES)])
                 for i in range(args.jobs)]
+        default_engine = None
         for workload, mode in jobs:
             local = report_for(args, workload, mode, remote=False)
             remote = report_for(args, workload, mode, remote=True)
             if local is not None and remote is not None:
                 compare(workload, mode, local, remote)
+                default_engine = local.get("interp", {}).get("engine")
+        check(default_engine in ("bytecode", "native"),
+              f"default engine reported as {default_engine!r}")
 
-        # Native-tier phase: resubmit pairs the bytecode phase already
-        # cached, now with -interp=native. The engine is part of the
-        # job-cache fingerprint, so these must MISS the bytecode entries
-        # (a collision would hand back a report saying engine=bytecode),
-        # behave identically to a local native run, and hit the cache on
+        # Engine phase: resubmit pairs the first phase already cached, on
+        # the engine it did not use, with the same (default) JIT
+        # threshold. Only the engine tells these jobs apart from the
+        # cached ones, so they must MISS those entries (a collision would
+        # hand back a report naming the default engine), behave
+        # identically to a local run on that engine, and hit the cache on
         # their own resubmission. Twice each -> 4 extra jobs, 2 extra
         # distinct fingerprints.
-        native_flags = ["--interp=native", "--jit-threshold=1"]
-        native_jobs = [(workloads[0], MODES[0]), (workloads[1], MODES[1])]
-        for workload, mode in native_jobs * 2:
+        other = "bytecode" if default_engine == "native" else "native"
+        engine_flags = [f"--interp={other}"]
+        engine_jobs = [(workloads[0], MODES[0]), (workloads[1], MODES[1])]
+        for workload, mode in engine_jobs * 2:
             local = report_for(args, workload, mode, remote=False,
-                               extra=native_flags)
+                               extra=engine_flags)
             remote = report_for(args, workload, mode, remote=True,
-                                extra=native_flags)
+                                extra=engine_flags)
             if local is not None and remote is not None:
                 compare(workload, mode, local, remote)
                 tag = f"{os.path.basename(workload)} mode={mode}"
                 engine = remote.get("interp", {}).get("engine")
-                check(engine == "native",
-                      f"{tag}: remote native job reported engine="
+                check(engine == other,
+                      f"{tag}: remote {other} job reported engine="
                       f"{engine!r} — job-cache fingerprint collision "
-                      f"with the bytecode entry")
+                      f"with the {default_engine} entry")
 
         # Observability phase: remarks/trace byte parity over the wire,
         # then validate the Prometheus scrape while jobs have run.
         obs_total, obs_distinct = observability_phase(args, workdir)
         validate_prometheus(args)
 
-        total = len(jobs) + 2 * len(native_jobs) + obs_total
+        total = len(jobs) + 2 * len(engine_jobs) + obs_total
         stats_proc = run([args.srpc, "--server-stats",
                           f"--socket={args.socket}"])
         if check(stats_proc.returncode == 0,
@@ -310,15 +318,15 @@ def main():
                   f"jobs_failed={stats.get('jobs_failed')}")
             cache = stats.get("job_cache", {})
             hits = cache.get("hits", 0)
-            # Distinct bytecode fingerprints + distinct native ones;
-            # every other submission must be a hit. An exact miss count
-            # pins the fingerprint: a native/bytecode collision would
-            # show fewer misses, a spuriously run-sensitive key more.
-            distinct = len(set(jobs)) + len(set(native_jobs)) + obs_distinct
+            # Distinct default-engine fingerprints + distinct other-engine
+            # ones; every other submission must be a hit. An exact miss
+            # count pins the fingerprint: an engine collision would show
+            # fewer misses, a spuriously run-sensitive key more.
+            distinct = len(set(jobs)) + len(set(engine_jobs)) + obs_distinct
             check(cache.get("misses") == distinct,
                   f"expected exactly {distinct} distinct job "
-                  f"fingerprints ({len(set(jobs))} bytecode + "
-                  f"{len(set(native_jobs))} native + {obs_distinct} "
+                  f"fingerprints ({len(set(jobs))} {default_engine} + "
+                  f"{len(set(engine_jobs))} {other} + {obs_distinct} "
                   f"observability), got {cache.get('misses')} misses")
             check(hits == total - distinct,
                   f"expected {total - distinct} cache hits on repeated "
