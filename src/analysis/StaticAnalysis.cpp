@@ -124,15 +124,17 @@ void checkCfgSuccTargets(CheckContext &C) {
     bool AnyNull =
         std::find(Succs.begin(), Succs.end(), nullptr) != Succs.end();
     // Printing a terminator with a null target would crash, so fall back
-    // to a block-granular location in that case.
-    DiagLocation Loc =
-        AnyNull ? DiagLocation::of(*BB) : DiagLocation::of(*T);
+    // to a block-granular location in that case. Built only on failure:
+    // printing the terminator of every block is most of this check's time.
+    auto Loc = [&] {
+      return AnyNull ? DiagLocation::of(*BB) : DiagLocation::of(*T);
+    };
     if (AnyNull)
-      C.DE.error("cfg-succ-targets", Loc,
+      C.DE.error("cfg-succ-targets", Loc(),
                  "terminator of block " + BB->name() + " targets a null block");
     for (BasicBlock *S : Succs)
       if (S && !InFunction.count(S))
-        C.DE.error("cfg-succ-targets", Loc,
+        C.DE.error("cfg-succ-targets", Loc(),
                    "terminator of block " + BB->name() + " targets block '" +
                        S->name() + "' which is not in the function",
                    "retarget the terminator at a block of this function");

@@ -1095,6 +1095,14 @@ bool srp::validateTranslation(
     const std::unordered_set<std::string> *OnlyFunctions) {
   const unsigned ErrorsBefore = DE.errors();
 
+  // Memory SSA is rebuilt below, and module objects number their versions
+  // module-wide. Restart the numbering so a snapshot validated before (the
+  // pass manager reuses one pass's post-pass clone as the next pass's
+  // snapshot) spells its versions in diagnostics as a fresh clone does.
+  for (Module *Side : {&OldM, &NewM})
+    for (const auto &G : Side->globals())
+      G->resetVersions();
+
   for (const auto &OF : OldM.functions())
     if (!NewM.getFunction(OF->name()))
       DE.error("trans-cfg", DiagLocation::inFunction(OF->name()),

@@ -17,6 +17,11 @@ class Parser {
   std::vector<Token> Toks;
   size_t Pos = 0;
   std::vector<std::string> &Errors;
+  /// Nesting level of the construct being parsed (see MaxNestingDepth).
+  unsigned Depth = 0;
+  /// Set once input nested too deep: parsing skipped to the end of input,
+  /// and every later error is a consequence of that skip.
+  bool TooDeep = false;
 
 public:
   Parser(std::vector<Token> Toks, std::vector<std::string> &Errors)
@@ -48,8 +53,35 @@ private:
   }
 
   void error(const std::string &Msg) {
-    Errors.push_back("line " + std::to_string(cur().Line) + ": " + Msg);
+    if (!TooDeep)
+      Errors.push_back("line " + std::to_string(cur().Line) + ": " + Msg);
   }
+
+  /// Opens one nesting level. Past MaxNestingDepth it reports the error
+  /// once, skips to the end of input (so every loop and recursion above
+  /// unwinds at once) and returns false.
+  bool enter() {
+    if (Depth < MaxNestingDepth) {
+      ++Depth;
+      return true;
+    }
+    error("nesting deeper than " + std::to_string(MaxNestingDepth) +
+          " levels");
+    TooDeep = true;
+    Pos = Toks.size() - 1; // the Eof token
+    return false;
+  }
+
+  /// One nesting level for the lifetime of a parse function.
+  struct Level {
+    Parser &P;
+    const bool Entered;
+    explicit Level(Parser &P) : P(P), Entered(P.enter()) {}
+    ~Level() {
+      if (Entered)
+        --P.Depth;
+    }
+  };
 
   bool expect(TokKind K, const char *Context) {
     if (accept(K))
@@ -189,6 +221,9 @@ private:
   }
 
   StmtPtr parseStmt() {
+    Level L(*this);
+    if (!L.Entered)
+      return nullptr;
     switch (cur().Kind) {
     case TokKind::LBrace:
       return parseBlock();
@@ -404,132 +439,87 @@ private:
   // Expressions (precedence climbing).
   //===------------------------------------------------------------------===
 
-  ExprPtr parseExpr() { return parseLogicalOr(); }
+  /// What a token means in binary position: its precedence (higher
+  /// binds tighter; -1 when the token is no binary operator) and the node
+  /// it builds. '&' in binary position is always bitwise-and; address-of
+  /// only occurs in unary position (handled by parseUnary).
+  struct BinaryOp {
+    int Prec = -1;
+    Expr::Kind K = Expr::Kind::Binary;
+    BinOpKind Op = BinOpKind::Add;
+  };
 
-  ExprPtr parseLogicalOr() {
-    ExprPtr L = parseLogicalAnd();
-    while (at(TokKind::PipePipe)) {
-      unsigned Line = take().Line;
-      auto E = std::make_unique<Expr>(Expr::Kind::LogicalOr, Line);
-      E->Lhs = std::move(L);
-      E->Rhs = parseLogicalAnd();
-      L = std::move(E);
+  static BinaryOp binaryOp(TokKind K) {
+    using EK = Expr::Kind;
+    switch (K) {
+    case TokKind::PipePipe:
+      return {0, EK::LogicalOr};
+    case TokKind::AmpAmp:
+      return {1, EK::LogicalAnd};
+    case TokKind::Pipe:
+      return {2, EK::Binary, BinOpKind::Or};
+    case TokKind::Caret:
+      return {3, EK::Binary, BinOpKind::Xor};
+    case TokKind::Amp:
+      return {4, EK::Binary, BinOpKind::And};
+    case TokKind::EQ:
+      return {5, EK::Binary, BinOpKind::CmpEQ};
+    case TokKind::NE:
+      return {5, EK::Binary, BinOpKind::CmpNE};
+    case TokKind::LT:
+      return {6, EK::Binary, BinOpKind::CmpLT};
+    case TokKind::LE:
+      return {6, EK::Binary, BinOpKind::CmpLE};
+    case TokKind::GT:
+      return {6, EK::Binary, BinOpKind::CmpGT};
+    case TokKind::GE:
+      return {6, EK::Binary, BinOpKind::CmpGE};
+    case TokKind::Shl:
+      return {7, EK::Binary, BinOpKind::Shl};
+    case TokKind::Shr:
+      return {7, EK::Binary, BinOpKind::Shr};
+    case TokKind::Plus:
+      return {8, EK::Binary, BinOpKind::Add};
+    case TokKind::Minus:
+      return {8, EK::Binary, BinOpKind::Sub};
+    case TokKind::Star:
+      return {9, EK::Binary, BinOpKind::Mul};
+    case TokKind::Slash:
+      return {9, EK::Binary, BinOpKind::Div};
+    case TokKind::Percent:
+      return {9, EK::Binary, BinOpKind::Rem};
+    default:
+      return {};
     }
-    return L;
   }
 
-  ExprPtr parseLogicalAnd() {
-    ExprPtr L = parseBitOr();
-    while (at(TokKind::AmpAmp)) {
-      unsigned Line = take().Line;
-      auto E = std::make_unique<Expr>(Expr::Kind::LogicalAnd, Line);
-      E->Lhs = std::move(L);
-      E->Rhs = parseBitOr();
-      L = std::move(E);
-    }
-    return L;
-  }
+  ExprPtr parseExpr() { return parseBinary(0); }
 
-  ExprPtr binary(BinOpKind Op, ExprPtr L, ExprPtr R, unsigned Line) {
-    auto E = std::make_unique<Expr>(Expr::Kind::Binary, Line);
-    E->BinOp = Op;
-    E->Lhs = std::move(L);
-    E->Rhs = std::move(R);
-    return E;
-  }
-
-  ExprPtr parseBitOr() {
-    ExprPtr L = parseBitXor();
-    while (at(TokKind::Pipe)) {
-      unsigned Line = take().Line;
-      L = binary(BinOpKind::Or, std::move(L), parseBitXor(), Line);
-    }
-    return L;
-  }
-
-  ExprPtr parseBitXor() {
-    ExprPtr L = parseBitAnd();
-    while (at(TokKind::Caret)) {
-      unsigned Line = take().Line;
-      L = binary(BinOpKind::Xor, std::move(L), parseBitAnd(), Line);
-    }
-    return L;
-  }
-
-  ExprPtr parseBitAnd() {
-    // '&' in binary position is always bitwise-and; address-of only occurs
-    // in unary position (handled by parseUnary).
-    ExprPtr L = parseEquality();
-    while (at(TokKind::Amp)) {
-      unsigned Line = take().Line;
-      L = binary(BinOpKind::And, std::move(L), parseEquality(), Line);
-    }
-    return L;
-  }
-
-  ExprPtr parseEquality() {
-    ExprPtr L = parseRelational();
-    while (at(TokKind::EQ) || at(TokKind::NE)) {
-      TokKind K = cur().Kind;
-      unsigned Line = take().Line;
-      L = binary(K == TokKind::EQ ? BinOpKind::CmpEQ : BinOpKind::CmpNE,
-                 std::move(L), parseRelational(), Line);
-    }
-    return L;
-  }
-
-  ExprPtr parseRelational() {
-    ExprPtr L = parseShift();
-    while (at(TokKind::LT) || at(TokKind::LE) || at(TokKind::GT) ||
-           at(TokKind::GE)) {
-      TokKind K = cur().Kind;
-      unsigned Line = take().Line;
-      BinOpKind Op = K == TokKind::LT   ? BinOpKind::CmpLT
-                     : K == TokKind::LE ? BinOpKind::CmpLE
-                     : K == TokKind::GT ? BinOpKind::CmpGT
-                                        : BinOpKind::CmpGE;
-      L = binary(Op, std::move(L), parseShift(), Line);
-    }
-    return L;
-  }
-
-  ExprPtr parseShift() {
-    ExprPtr L = parseAdditive();
-    while (at(TokKind::Shl) || at(TokKind::Shr)) {
-      TokKind K = cur().Kind;
-      unsigned Line = take().Line;
-      L = binary(K == TokKind::Shl ? BinOpKind::Shl : BinOpKind::Shr,
-                 std::move(L), parseAdditive(), Line);
-    }
-    return L;
-  }
-
-  ExprPtr parseAdditive() {
-    ExprPtr L = parseMultiplicative();
-    while (at(TokKind::Plus) || at(TokKind::Minus)) {
-      TokKind K = cur().Kind;
-      unsigned Line = take().Line;
-      L = binary(K == TokKind::Plus ? BinOpKind::Add : BinOpKind::Sub,
-                 std::move(L), parseMultiplicative(), Line);
-    }
-    return L;
-  }
-
-  ExprPtr parseMultiplicative() {
+  /// Operands joined by operators of precedence \p MinPrec or tighter,
+  /// left-associative. One frame per precedence step, so a parenthesis
+  /// costs a few frames of stack, not one per precedence level. Each
+  /// operator nests the chain so far one level deeper, until it ends.
+  ExprPtr parseBinary(int MinPrec) {
     ExprPtr L = parseUnary();
-    while (at(TokKind::Star) || at(TokKind::Slash) || at(TokKind::Percent)) {
-      TokKind K = cur().Kind;
-      unsigned Line = take().Line;
-      BinOpKind Op = K == TokKind::Star    ? BinOpKind::Mul
-                     : K == TokKind::Slash ? BinOpKind::Div
-                                           : BinOpKind::Rem;
-      L = binary(Op, std::move(L), parseUnary(), Line);
+    unsigned Levels = 0;
+    for (BinaryOp B = binaryOp(cur().Kind); B.Prec >= MinPrec && enter();
+         B = binaryOp(cur().Kind)) {
+      ++Levels;
+      auto E = std::make_unique<Expr>(B.K, take().Line);
+      E->BinOp = B.Op;
+      E->Lhs = std::move(L);
+      E->Rhs = parseBinary(B.Prec + 1);
+      L = std::move(E);
     }
+    Depth -= Levels;
     return L;
   }
 
   ExprPtr parseUnary() {
     unsigned Line = cur().Line;
+    Level L(*this);
+    if (!L.Entered)
+      return std::make_unique<Expr>(Expr::Kind::IntLit, Line);
     if (accept(TokKind::Minus)) {
       auto E = std::make_unique<Expr>(Expr::Kind::Unary, Line);
       E->UnaryOp = '-';

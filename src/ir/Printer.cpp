@@ -3,216 +3,221 @@
 // Part of the srp project: SSA-based scalar register promotion.
 //
 //===----------------------------------------------------------------------===//
+//
+// Every entry point appends into one std::string: no stream, and no
+// temporary string per operand (value references go through
+// Value::appendReference).
+//
+//===----------------------------------------------------------------------===//
 
 #include "ir/Printer.h"
 #include "ir/Module.h"
-#include <sstream>
 
 using namespace srp;
 
 namespace {
 
-void printOperandList(std::ostringstream &OS, const Instruction &I,
-                      unsigned Begin = 0) {
-  for (unsigned Idx = Begin, E = I.numOperands(); Idx != E; ++Idx) {
-    if (Idx != Begin)
-      OS << ", ";
-    OS << I.operand(Idx)->referenceString();
-  }
+/// A value reference, spelled by Value::appendReference.
+struct Ref {
+  const Value *V;
+};
+
+void put(std::string &Out, const char *S) { Out += S; }
+void put(std::string &Out, const std::string &S) { Out += S; }
+void put(std::string &Out, char C) { Out += C; }
+void put(std::string &Out, Ref R) { R.V->appendReference(Out); }
+
+/// Appends each piece in turn.
+template <class... Pieces> void emit(std::string &Out, const Pieces &...P) {
+  (put(Out, P), ...);
 }
 
-void printMuChi(std::ostringstream &OS, const Instruction &I) {
+void emitMuChi(std::string &Out, const Instruction &I) {
   if (I.numMemOperands()) {
-    OS << " mu(";
-    for (unsigned Idx = 0, E = I.numMemOperands(); Idx != E; ++Idx) {
-      if (Idx)
-        OS << ", ";
-      OS << I.memOperand(Idx)->name();
-    }
-    OS << ")";
+    Out += " mu(";
+    for (unsigned Idx = 0, E = I.numMemOperands(); Idx != E; ++Idx)
+      emit(Out, Idx ? ", " : "", I.memOperand(Idx)->name());
+    Out += ')';
   }
   if (I.numMemDefs()) {
-    OS << " chi(";
-    for (unsigned Idx = 0, E = I.numMemDefs(); Idx != E; ++Idx) {
-      if (Idx)
-        OS << ", ";
-      OS << I.memDef(Idx)->name();
-    }
-    OS << ")";
+    Out += " chi(";
+    for (unsigned Idx = 0, E = I.numMemDefs(); Idx != E; ++Idx)
+      emit(Out, Idx ? ", " : "", I.memDef(Idx)->name());
+    Out += ')';
   }
 }
 
-void printInstruction(std::ostringstream &OS, const Instruction &I) {
+void emitInstruction(std::string &Out, const Instruction &I) {
   if (I.type() != Type::Void)
-    OS << I.referenceString() << " = ";
+    emit(Out, Ref{&I}, " = ");
   switch (I.kind()) {
   case Value::Kind::BinOp: {
     const auto &B = static_cast<const BinOpInst &>(I);
-    OS << binOpName(B.op()) << " " << B.lhs()->referenceString() << ", "
-       << B.rhs()->referenceString();
+    emit(Out, binOpName(B.op()), ' ', Ref{B.lhs()}, ", ", Ref{B.rhs()});
     break;
   }
   case Value::Kind::Copy:
-    OS << static_cast<const CopyInst &>(I).source()->referenceString();
+    emit(Out, Ref{static_cast<const CopyInst &>(I).source()});
     break;
   case Value::Kind::Phi: {
     const auto &P = static_cast<const PhiInst &>(I);
-    OS << "phi(";
-    for (unsigned Idx = 0, E = P.numIncoming(); Idx != E; ++Idx) {
-      if (Idx)
-        OS << ", ";
-      OS << P.incomingValue(Idx)->referenceString() << ":"
-         << P.incomingBlock(Idx)->name();
-    }
-    OS << ")";
+    Out += "phi(";
+    for (unsigned Idx = 0, E = P.numIncoming(); Idx != E; ++Idx)
+      emit(Out, Idx ? ", " : "", Ref{P.incomingValue(Idx)}, ':',
+           P.incomingBlock(Idx)->name());
+    Out += ')';
     break;
   }
   case Value::Kind::Load: {
     const auto &L = static_cast<const LoadInst &>(I);
-    OS << "ld [" << L.object()->name() << "]";
+    emit(Out, "ld [", L.object()->name(), ']');
     if (L.memUse())
-      OS << " mu(" << L.memUse()->name() << ")";
+      emit(Out, " mu(", L.memUse()->name(), ')');
     break;
   }
   case Value::Kind::Store: {
     const auto &S = static_cast<const StoreInst &>(I);
     if (S.memDefName())
-      OS << S.memDefName()->name() << " = ";
-    OS << "st [" << S.object()->name() << "], "
-       << S.storedValue()->referenceString();
+      emit(Out, S.memDefName()->name(), " = ");
+    emit(Out, "st [", S.object()->name(), "], ", Ref{S.storedValue()});
     break;
   }
   case Value::Kind::AddrOf:
-    OS << "&" << static_cast<const AddrOfInst &>(I).object()->name();
+    emit(Out, '&', static_cast<const AddrOfInst &>(I).object()->name());
     break;
   case Value::Kind::PtrLoad:
-    OS << "ptrload "
-       << static_cast<const PtrLoadInst &>(I).address()->referenceString();
-    printMuChi(OS, I);
+    emit(Out, "ptrload ", Ref{static_cast<const PtrLoadInst &>(I).address()});
+    emitMuChi(Out, I);
     break;
   case Value::Kind::PtrStore: {
     const auto &S = static_cast<const PtrStoreInst &>(I);
-    OS << "ptrstore " << S.address()->referenceString() << ", "
-       << S.storedValue()->referenceString();
-    printMuChi(OS, I);
+    emit(Out, "ptrstore ", Ref{S.address()}, ", ", Ref{S.storedValue()});
+    emitMuChi(Out, I);
     break;
   }
   case Value::Kind::ArrayLoad: {
     const auto &L = static_cast<const ArrayLoadInst &>(I);
-    OS << L.object()->name() << "[" << L.index()->referenceString() << "]";
-    printMuChi(OS, I);
+    emit(Out, L.object()->name(), '[', Ref{L.index()}, ']');
+    emitMuChi(Out, I);
     break;
   }
   case Value::Kind::ArrayStore: {
     const auto &S = static_cast<const ArrayStoreInst &>(I);
-    OS << S.object()->name() << "[" << S.index()->referenceString()
-       << "] = " << S.storedValue()->referenceString();
-    printMuChi(OS, I);
+    emit(Out, S.object()->name(), '[', Ref{S.index()}, "] = ",
+         Ref{S.storedValue()});
+    emitMuChi(Out, I);
     break;
   }
   case Value::Kind::Call: {
     const auto &C = static_cast<const CallInst &>(I);
-    OS << "call " << C.callee()->name() << "(";
-    printOperandList(OS, I);
-    OS << ")";
-    printMuChi(OS, I);
+    emit(Out, "call ", C.callee()->name(), '(');
+    for (unsigned Idx = 0, E = C.numOperands(); Idx != E; ++Idx)
+      emit(Out, Idx ? ", " : "", Ref{C.operand(Idx)});
+    Out += ')';
+    emitMuChi(Out, I);
     break;
   }
   case Value::Kind::Print:
-    OS << "print "
-       << static_cast<const PrintInst &>(I).value()->referenceString();
+    emit(Out, "print ", Ref{static_cast<const PrintInst &>(I).value()});
     break;
   case Value::Kind::Br:
-    OS << "br " << static_cast<const BrInst &>(I).target()->name();
+    emit(Out, "br ", static_cast<const BrInst &>(I).target()->name());
     break;
   case Value::Kind::CondBr: {
     const auto &B = static_cast<const CondBrInst &>(I);
-    OS << "condbr " << B.condition()->referenceString() << ", "
-       << B.trueTarget()->name() << ", " << B.falseTarget()->name();
+    emit(Out, "condbr ", Ref{B.condition()}, ", ", B.trueTarget()->name(),
+         ", ", B.falseTarget()->name());
     break;
   }
   case Value::Kind::Ret: {
     const auto &R = static_cast<const RetInst &>(I);
-    OS << "ret";
+    Out += "ret";
     if (R.returnValue())
-      OS << " " << R.returnValue()->referenceString();
-    printMuChi(OS, I);
+      emit(Out, ' ', Ref{R.returnValue()});
+    emitMuChi(Out, I);
     break;
   }
   case Value::Kind::MemPhi: {
     const auto &P = static_cast<const MemPhiInst &>(I);
-    OS << (P.target() ? P.target()->name() : std::string("<none>"))
-       << " = memphi(";
-    for (unsigned Idx = 0, E = P.numIncoming(); Idx != E; ++Idx) {
-      if (Idx)
-        OS << ", ";
-      OS << P.incomingName(Idx)->name() << ":"
-         << P.incomingBlock(Idx)->name();
-    }
-    OS << ")";
+    emit(Out, P.target() ? P.target()->name().c_str() : "<none>",
+         " = memphi(");
+    for (unsigned Idx = 0, E = P.numIncoming(); Idx != E; ++Idx)
+      emit(Out, Idx ? ", " : "", P.incomingName(Idx)->name(), ':',
+           P.incomingBlock(Idx)->name());
+    Out += ')';
     break;
   }
   case Value::Kind::DummyLoad: {
     const auto &D = static_cast<const DummyLoadInst &>(I);
-    OS << "dummyload [" << D.object()->name() << "]";
-    printMuChi(OS, I);
+    emit(Out, "dummyload [", D.object()->name(), ']');
+    emitMuChi(Out, I);
     break;
   }
   default:
-    OS << "<unknown>";
+    Out += "<unknown>";
     break;
   }
+}
+
+void emitBlock(std::string &Out, const BasicBlock &BB) {
+  emit(Out, BB.name(), ':');
+  if (!BB.preds().empty()) {
+    Out += "  ; preds:";
+    for (BasicBlock *P : BB.preds())
+      emit(Out, ' ', P->name());
+  }
+  Out += '\n';
+  for (const auto &I : BB) {
+    Out += "  ";
+    emitInstruction(Out, *I);
+    Out += '\n';
+  }
+}
+
+void emitFunction(std::string &Out, const Function &F) {
+  emit(Out, "func ", typeName(F.returnType()), " @", F.name(), '(');
+  for (unsigned I = 0, E = F.numArgs(); I != E; ++I)
+    emit(Out, I ? ", " : "", Ref{F.arg(I)});
+  Out += ") {\n";
+  for (const auto &BB : F)
+    emitBlock(Out, *BB);
+  Out += "}\n";
 }
 
 } // namespace
 
 std::string srp::toString(const Instruction &I) {
-  std::ostringstream OS;
-  printInstruction(OS, I);
-  return OS.str();
+  std::string Out;
+  emitInstruction(Out, I);
+  return Out;
 }
 
 std::string srp::toString(const BasicBlock &BB) {
-  std::ostringstream OS;
-  OS << BB.name() << ":";
-  if (!BB.preds().empty()) {
-    OS << "  ; preds:";
-    for (BasicBlock *P : BB.preds())
-      OS << " " << P->name();
-  }
-  OS << "\n";
-  for (const auto &I : BB)
-    OS << "  " << toString(*I) << "\n";
-  return OS.str();
+  std::string Out;
+  emitBlock(Out, BB);
+  return Out;
 }
 
 std::string srp::toString(const Function &F) {
-  std::ostringstream OS;
-  OS << "func " << typeName(F.returnType()) << " @" << F.name() << "(";
-  for (unsigned I = 0, E = F.numArgs(); I != E; ++I) {
-    if (I)
-      OS << ", ";
-    OS << F.arg(I)->referenceString();
-  }
-  OS << ") {\n";
-  for (const auto &BB : F)
-    OS << toString(*BB);
-  OS << "}\n";
-  return OS.str();
+  std::string Out;
+  emitFunction(Out, F);
+  return Out;
 }
 
 std::string srp::toString(const Module &M) {
-  std::ostringstream OS;
-  OS << "; module " << M.name() << "\n";
+  std::string Out;
+  emit(Out, "; module ", M.name(), '\n');
   for (const auto &G : M.globals()) {
-    OS << "global " << G->name();
+    emit(Out, "global ", G->name());
     if (G->kind() == MemoryObject::Kind::Array)
-      OS << "[" << G->size() << "]";
+      emit(Out, '[', std::to_string(G->size()), ']');
     else
-      OS << " = " << G->initialValue();
-    OS << "\n";
+      emit(Out, " = ", std::to_string(G->initialValue()));
+    Out += '\n';
   }
-  for (const auto &F : M.functions())
-    OS << "\n" << toString(*F);
-  return OS.str();
+  for (const auto &F : M.functions()) {
+    Out += '\n';
+    emitFunction(Out, *F);
+  }
+  return Out;
 }

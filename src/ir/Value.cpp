@@ -8,6 +8,7 @@
 #include "ir/Instruction.h"
 #include "ir/Memory.h"
 #include <algorithm>
+#include <charconv>
 
 using namespace srp;
 
@@ -46,15 +47,29 @@ void Value::replaceAllUsesWith(Value *New) {
   assert(Uses.empty() && "stale uses after RAUW");
 }
 
-std::string Value::referenceString() const {
+void Value::appendReference(std::string &Out) const {
   switch (K) {
-  case Kind::ConstantInt:
-    return std::to_string(static_cast<const ConstantInt *>(this)->value());
-  case Kind::Undef:
-    return "undef";
-  case Kind::MemoryName:
-    return Name;
-  default:
-    return "%" + Name;
+  case Kind::ConstantInt: {
+    char Buf[24];
+    const int64_t V = static_cast<const ConstantInt *>(this)->value();
+    Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
+    return;
   }
+  case Kind::Undef:
+    Out += "undef";
+    return;
+  case Kind::MemoryName:
+    Out += Name;
+    return;
+  default:
+    Out += '%';
+    Out += Name;
+    return;
+  }
+}
+
+std::string Value::referenceString() const {
+  std::string S;
+  appendReference(S);
+  return S;
 }

@@ -117,6 +117,10 @@ public:
 
   /// Renders the value reference (e.g. "%t3", "42", "x.2") to a string.
   std::string referenceString() const;
+
+  /// Appends the value reference to \p Out; the one place its spelling
+  /// lives (referenceString and the IR printer both go through it).
+  void appendReference(std::string &Out) const;
 };
 
 /// An integer literal. Uniqued and owned by the Module.

@@ -75,27 +75,29 @@ bool PassManager::run(Module &M, AnalysisManager &AM,
     Records.push_back(PassRecord{Name, 0, false, false, false, 0});
 
   const Strictness Level = Opts.effectiveStrictness();
+  // At Semantic, the text of every function and a snapshot of the module
+  // roll across the loop: nothing touches the module between one pass's
+  // post-pass print and clone and the next pass, so those are the next
+  // pass's pre-pass text and snapshot. The text detects which functions a
+  // pass touched (only those are translation-validated) and lets a failure
+  // dump show the IR the pass started from next to what it produced; the
+  // snapshot is what the pass is proven against.
+  std::unordered_map<std::string, std::string> PreText;
+  std::unique_ptr<Module> PreClone;
+  if (Level >= Strictness::Semantic) {
+    for (const auto &F : M.functions())
+      PreText.emplace(F->name(), toString(*F));
+    ScopedTimer T(VStats.Validation.WallSeconds);
+    PreClone = cloneModule(M);
+  }
+
   for (size_t I = 0; I != Passes.size(); ++I) {
     PassRecord &Rec = Records[I];
     Rec.Ran = true;
     ++NumPassesRun;
 
-    // At Semantic, keep the pre-pass text of every function: it detects
-    // which functions a pass touched (only those are
-    // translation-validated) and lets a failure dump show the IR the pass
-    // started from next to what it produced. Also snapshot the module
-    // itself and collect the pass's promoted-web reports for the
-    // post-pass cross-check.
-    std::unordered_map<std::string, std::string> PreText;
-    std::unique_ptr<Module> PreClone;
+    // The pass's promoted-web reports, for the post-pass cross-check.
     validation::WebLedger Ledger;
-    if (Level >= Strictness::Semantic) {
-      for (const auto &F : M.functions())
-        PreText.emplace(F->name(), toString(*F));
-      ScopedTimer T(VStats.Validation.WallSeconds);
-      PreClone = cloneModule(M);
-    }
-
     bool PassOk;
     {
       std::optional<validation::ScopedWebLedger> LG;
@@ -172,26 +174,31 @@ bool PassManager::run(Module &M, AnalysisManager &AM,
     // pre-pass snapshot. Only well-formed IR is compared (the structural
     // checks above passed), and only functions whose text changed.
     if (Level >= Strictness::Semantic) {
+      std::unordered_map<std::string, std::string> PostText;
       std::unordered_set<std::string> Changed;
       for (const auto &F : M.functions()) {
+        std::string Text = toString(*F);
         auto It = PreText.find(F->name());
-        if (It == PreText.end() || It->second != toString(*F))
+        if (It == PreText.end() || It->second != Text)
           Changed.insert(F->name());
+        PostText.emplace(F->name(), std::move(Text));
       }
       for (const auto &[Name, Text] : PreText)
         if (!M.getFunction(Name))
           Changed.insert(Name);
       if (Changed.empty() && Ledger.size() == 0) {
+        // Nothing to prove, and the snapshot still matches the module.
         VStats.Validation.FunctionsSkippedIdentical += M.functions().size();
       } else {
         DiagnosticEngine VDE;
         bool Proven;
+        std::unique_ptr<Module> PostClone;
         {
           TraceSpan Span;
           if (trace::enabled())
             Span.begin("verify", "validate:" + Rec.Name);
           ScopedTimer T(VStats.Validation.WallSeconds);
-          std::unique_ptr<Module> PostClone = cloneModule(M);
+          PostClone = cloneModule(M);
           Proven = validateTranslation(*PreClone, *PostClone,
                                        Ledger.records(), VDE,
                                        VStats.Validation, &Changed);
@@ -203,7 +210,10 @@ bool PassManager::run(Module &M, AnalysisManager &AM,
           Attribute(VDE);
           return false;
         }
+        PreClone = std::move(PostClone);
       }
+      // Roll only now: a failure above still dumps the pre-pass text.
+      PreText = std::move(PostText);
     }
   }
   return true;

@@ -298,4 +298,49 @@ TEST(LoweringTest, BreakContinueControlFlow) {
   EXPECT_EQ(R.Output[0], 0 + 1 + 2 + 4 + 5);
 }
 
+//===----------------------------------------------------------------------===
+// The nesting limit: the deepest input of each shape parses and runs, one
+// level more is a single structured parse error, and input far deeper
+// (which once overflowed the stack) is the same one error.
+//===----------------------------------------------------------------------===
+
+void expectNestingLimit(Nesting S, int64_t ExitAtLimit) {
+  const unsigned AtLimit = deepestAccepted(S);
+  std::vector<std::string> Errors;
+  auto M = compileMiniC(nestedProgram(S, AtLimit), Errors);
+  ASSERT_NE(M, nullptr) << Errors.front();
+  expectValid(*M, "deepest accepted input");
+  Interpreter I(*M);
+  auto R = I.run();
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.ExitValue, ExitAtLimit);
+
+  const std::string TooDeep = "line 1: nesting deeper than " +
+                              std::to_string(MaxNestingDepth) + " levels";
+  for (unsigned K : {AtLimit + 1, 20 * AtLimit}) {
+    Errors.clear();
+    EXPECT_EQ(compileMiniC(nestedProgram(S, K), Errors), nullptr);
+    ASSERT_EQ(Errors.size(), 1u) << K << " repetitions";
+    EXPECT_EQ(Errors[0], TooDeep);
+  }
+}
+
+TEST(ParserTest, NestingLimitParentheses) {
+  expectNestingLimit(Nesting::Parentheses, 7);
+}
+
+TEST(ParserTest, NestingLimitUnaryChain) {
+  expectNestingLimit(Nesting::UnaryChain,
+                     deepestAccepted(Nesting::UnaryChain) % 2 ? -7 : 7);
+}
+
+TEST(ParserTest, NestingLimitBinaryChain) {
+  expectNestingLimit(Nesting::BinaryChain,
+                     7 + deepestAccepted(Nesting::BinaryChain));
+}
+
+TEST(ParserTest, NestingLimitStatements) {
+  expectNestingLimit(Nesting::Statements, 2);
+}
+
 } // namespace

@@ -180,6 +180,121 @@ TEST(IRTest, PrinterMentionsCoreConstructs) {
   EXPECT_NE(S.find("func int @main"), std::string::npos);
 }
 
+// The printer's output pinned byte for byte: every instruction kind, the
+// constant spellings (undef, negative, INT64_MIN) and the module header
+// with scalar, field and array globals.
+TEST(IRTest, PrinterTextIsExact) {
+  Module M("pinned");
+  MemoryObject *X = M.createGlobal("x", -3);
+  M.createField("s.f", 7);
+  MemoryObject *A = M.createGlobalArray("a", 4);
+
+  Function *Get = M.createFunction("get", Type::Int);
+  Argument *N = Get->addArgument("n");
+  IRBuilder(Get->createBlock("entry")).ret(N);
+  Function *Sink = M.createFunction("sink", Type::Void);
+  IRBuilder(Sink->createBlock("entry")).ret();
+
+  Function *F = M.createFunction("main", Type::Int);
+  Argument *P = F->addArgument("p");
+  Argument *Q = F->addArgument("q");
+  BasicBlock *Entry = F->createBlock("entry");
+  BasicBlock *Left = F->createBlock("left");
+  BasicBlock *Right = F->createBlock("right");
+  BasicBlock *Join = F->createBlock("join");
+  MemoryName *X0 = F->createMemoryName(X);
+  MemoryName *X1 = F->createMemoryName(X);
+  MemoryName *X2 = F->createMemoryName(X);
+  MemoryName *X3 = F->createMemoryName(X);
+  MemoryName *A0 = F->createMemoryName(A);
+  MemoryName *A1 = F->createMemoryName(A);
+
+  IRBuilder B(Entry);
+  Value *Sum = B.binop(BinOpKind::Add, P, M.constant(-5), "sum");
+  Value *Cp = B.copy(Sum, "cp");
+  B.load(X, "ld")->addMemOperand(X0);
+  B.store(X, Cp)->addMemDef(X1);
+  Value *Addr = B.addrOf(X);
+  auto *PL = cast<Instruction>(B.ptrLoad(Addr));
+  PL->addMemOperand(X1);
+  Instruction *PS = B.ptrStore(Addr, M.undef());
+  PS->addMemOperand(X1);
+  PS->addMemDef(X2);
+  auto *AL = cast<Instruction>(B.arrayLoad(A, Q));
+  AL->addMemOperand(A0);
+  Instruction *AS = B.arrayStore(A, AL, M.constant(INT64_MIN));
+  AS->addMemOperand(A0);
+  AS->addMemDef(A1);
+  CallInst *C = B.call(Get, {AL}, "c");
+  C->addMemOperand(X2);
+  C->addMemDef(X3);
+  B.call(Sink, {});
+  B.print(C);
+  Instruction *DL = B.block()->append(std::make_unique<DummyLoadInst>(X));
+  DL->addMemOperand(X3);
+  B.condBr(Sum, Left, Right);
+
+  IRBuilder(Left).br(Join);
+  IRBuilder(Right).ret();
+
+  auto Target = std::make_unique<MemPhiInst>(X);
+  Target->addMemDef(F->createMemoryName(X));
+  Target->addIncoming(X3, Left);
+  Join->append(std::move(Target));
+  auto NoTarget = std::make_unique<MemPhiInst>(A);
+  NoTarget->addIncoming(A1, Left);
+  Join->append(std::move(NoTarget));
+  IRBuilder BJ(Join);
+  PhiInst *Phi = BJ.phi(Type::Int, "r");
+  Phi->addIncoming(C, Left);
+  BJ.ret(Phi);
+
+  EXPECT_EQ(toString(M), R"(; module pinned
+global x = -3
+global s.f = 7
+global a[4]
+
+func int @get(%n) {
+entry:
+  ret %n
+}
+
+func void @sink() {
+entry:
+  ret
+}
+
+func int @main(%p, %q) {
+entry:
+  %sum = add %p, -5
+  %cp = %sum
+  %ld = ld [x] mu(x.0)
+  x.1 = st [x], %cp
+  %t0 = &x
+  %t1 = ptrload %t0 mu(x.1)
+  ptrstore %t0, undef mu(x.1) chi(x.2)
+  %t2 = a[%q] mu(a.0)
+  a[%t2] = -9223372036854775808 mu(a.0) chi(a.1)
+  %c = call get(%t2) mu(x.2) chi(x.3)
+  call sink()
+  print %c
+  dummyload [x] mu(x.3)
+  condbr %sum, left, right
+left:  ; preds: entry
+  br join
+right:  ; preds: entry
+  ret
+join:  ; preds: left
+  x.4 = memphi(x.3:left)
+  <none> = memphi(a.1:left)
+  %r = phi(%c:left)
+  ret %r
+}
+)");
+  EXPECT_EQ(toString(*Phi), "%r = phi(%c:left)");
+  EXPECT_EQ(toString(*Right), "right:  ; preds: entry\n  ret\n");
+}
+
 TEST(IRTest, VerifierCatchesBrokenPhi) {
   Module M;
   Function *F = M.createFunction("f", Type::Int);

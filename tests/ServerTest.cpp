@@ -13,6 +13,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestHelpers.h"
 #include "server/Client.h"
 #include "server/Server.h"
 #include "support/JSON.h"
@@ -294,6 +295,47 @@ TEST(ServerTest, OversizedLiteralIsAnErrorResponse) {
                          Next, Err))
       << Err;
   EXPECT_TRUE(Next.Ok);
+  EXPECT_TRUE(Cl.ping(Err)) << Err;
+  EXPECT_EQ(S.Srv.stats().JobsFailed, 1u);
+}
+
+// Mini-C nested past the front end's limit once overflowed the stack of
+// the worker compiling it and took the whole daemon down; it must come
+// back as an ordinary failed job. The deepest input the limit accepts, of
+// every shape, must compile and run on a worker thread, and the daemon
+// must go on serving.
+TEST(ServerTest, TooDeepNestingIsAnErrorResponse) {
+  ServerOptions O;
+  O.SocketPath = testSocketPath("nesting");
+  O.Threads = 1;
+  RunningServer S(O);
+  ASSERT_TRUE(S.Started);
+
+  Client Cl;
+  std::string Err;
+  ASSERT_TRUE(Cl.connect(O.SocketPath, Err)) << Err;
+  CompileResponse R;
+  ASSERT_TRUE(Cl.compile(makeJob(test::nestedProgram(
+                                     test::Nesting::Parentheses, 20000),
+                                 PromotionMode::Paper, "deep.mc"),
+                         R, Err))
+      << Err;
+  EXPECT_FALSE(R.Ok);
+  ASSERT_FALSE(R.Errors.empty());
+  EXPECT_NE(R.Errors[0].find("nesting deeper than"), std::string::npos)
+      << R.Errors[0];
+
+  for (test::Nesting Shape :
+       {test::Nesting::Parentheses, test::Nesting::UnaryChain,
+        test::Nesting::BinaryChain, test::Nesting::Statements}) {
+    CompileResponse Deepest;
+    ASSERT_TRUE(Cl.compile(
+        makeJob(test::nestedProgram(Shape, test::deepestAccepted(Shape)),
+                PromotionMode::Paper, "deepest.mc"),
+        Deepest, Err))
+        << Err;
+    EXPECT_TRUE(Deepest.Ok);
+  }
   EXPECT_TRUE(Cl.ping(Err)) << Err;
   EXPECT_EQ(S.Srv.stats().JobsFailed, 1u);
 }

@@ -9,6 +9,7 @@
 
 #include "analysis/Verifier.h"
 #include "frontend/Lowering.h"
+#include "frontend/Parser.h"
 #include "ir/Module.h"
 #include "ir/Printer.h"
 #include <gtest/gtest.h>
@@ -43,6 +44,43 @@ inline void expectValid(Function &F, const char *When = "") {
     ADD_FAILURE() << When << ": " << E;
   if (!Errors.empty())
     ADD_FAILURE() << "IR:\n" << toString(F);
+}
+
+/// Shapes of deep Mini-C nesting, for the front end's nesting limit
+/// (MaxNestingDepth, frontend/Parser.h).
+enum class Nesting { Parentheses, UnaryChain, BinaryChain, Statements };
+
+/// A program that nests \p K constructs of shape \p S. The expression
+/// shapes sit in `return E;`, whose statement and outermost operand take
+/// two levels: K parentheses, prefix minuses or `+` operators are K + 2
+/// levels deep. K nested `if (x) { ... }` are 2K levels deep (each if and
+/// each block takes one).
+inline std::string nestedProgram(Nesting S, unsigned K) {
+  auto Repeat = [K](const char *Piece) {
+    std::string Out;
+    for (unsigned I = 0; I != K; ++I)
+      Out += Piece;
+    return Out;
+  };
+  switch (S) {
+  case Nesting::Parentheses:
+    return "int main() { return " + Repeat("(") + "7" + Repeat(")") + "; }";
+  case Nesting::UnaryChain:
+    return "int main() { return " + Repeat("- ") + "7; }";
+  case Nesting::BinaryChain:
+    return "int main() { return 7" + Repeat(" + 1") + "; }";
+  case Nesting::Statements:
+    return "int main() { int x; x = 1; " + Repeat("if (x) { ") +
+           Repeat("} ") + "return x + 1; }";
+  }
+  return "";
+}
+
+/// The largest K for which nestedProgram(S, K) is accepted: exactly
+/// MaxNestingDepth levels deep.
+inline unsigned deepestAccepted(Nesting S) {
+  static_assert(MaxNestingDepth % 2 == 0, "Statements nest two at a time");
+  return S == Nesting::Statements ? MaxNestingDepth / 2 : MaxNestingDepth - 2;
 }
 
 } // namespace srp::test

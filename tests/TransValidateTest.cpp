@@ -28,6 +28,7 @@
 #include "analysis/StaticAnalysis.h"
 #include "analysis/TransValidate.h"
 #include "frontend/Lowering.h"
+#include "ir/CFGEdit.h"
 #include "ir/Module.h"
 #include "ir/Printer.h"
 #include "pipeline/PassManager.h"
@@ -35,6 +36,7 @@
 #include "ssa/Mem2Reg.h"
 #include "ssa/MemorySSA.h"
 #include "ssa/ValueNumbering.h"
+#include <algorithm>
 #include <fstream>
 #include <functional>
 #include <gtest/gtest.h>
@@ -290,19 +292,21 @@ TEST(TransValidateSemanticTest, AllModesProveOracleWorkloads) {
 //===----------------------------------------------------------------------===
 
 using MutateFn = std::function<void(Module &, AnalysisManager &)>;
+using Step = std::pair<std::string, MutateFn>;
 
-/// Compiles \p Src, runs a "setup" pass (mem2reg if \p Mem2Reg, then CFG
-/// canonicalisation and memory SSA) which must validate clean, then
-/// applies \p Mutate in a pass named \p PassName under the pass manager
-/// at Strictness::Semantic. The run is expected to fail.
-std::vector<std::string> runSemanticMutation(const char *Src,
-                                             const char *PassName,
-                                             bool Mem2Reg, MutateFn Mutate) {
+/// Compiles \p Src and runs it under the pass manager at
+/// Strictness::Semantic: a "setup" pass (mem2reg if \p Mem2Reg, then CFG
+/// canonicalisation and memory SSA) which must validate clean, then each
+/// of \p Steps as a pass of its own. Returns whether the run succeeded.
+bool runSemanticSteps(const char *Src, bool Mem2Reg,
+                      const std::vector<Step> &Steps,
+                      std::vector<std::string> &Errors,
+                      TransValidateStats *Stats = nullptr) {
   std::vector<std::string> CompileErrors;
   auto M = compileMiniC(Src, CompileErrors);
   EXPECT_TRUE(CompileErrors.empty());
   if (!M)
-    return {};
+    return false;
   AnalysisManager AM(M.get());
 
   PassManagerOptions PMO;
@@ -323,43 +327,138 @@ std::vector<std::string> runSemanticMutation(const char *Src,
                             }
                             return true;
                           }));
-  PM.addPass(PassName, PassManager::ModulePassFn(
-                           [&](Module &Mod, AnalysisManager &AM,
-                               std::vector<std::string> &) {
-                             Mutate(Mod, AM);
-                             return true;
-                           }));
+  for (const auto &[Name, Fn] : Steps)
+    PM.addPass(Name, PassManager::ModulePassFn(
+                         [&Fn = Fn](Module &Mod, AnalysisManager &AM,
+                                    std::vector<std::string> &) {
+                           Fn(Mod, AM);
+                           return true;
+                         }));
 
-  std::vector<std::string> Errors;
-  EXPECT_FALSE(PM.run(*M, AM, Errors));
-  EXPECT_FALSE(Errors.empty());
+  const bool Ok = PM.run(*M, AM, Errors);
   EXPECT_FALSE(anyContains(Errors, "after pass 'setup'"));
+  if (Stats)
+    *Stats = PM.verifyStats().Validation;
+  return Ok;
+}
+
+/// Runs \p Mutate as pass \p PassName after setup; the run is expected
+/// to fail.
+std::vector<std::string> runSemanticMutation(const char *Src,
+                                             const char *PassName,
+                                             bool Mem2Reg, MutateFn Mutate) {
+  std::vector<std::string> Errors;
+  EXPECT_FALSE(runSemanticSteps(Src, Mem2Reg, {{PassName, Mutate}}, Errors));
+  EXPECT_FALSE(Errors.empty());
   return Errors;
 }
 
+/// Deletes main's last store to a global, rebuilding memory SSA from
+/// scratch around the deletion so every structural invariant stays
+/// intact: only the semantics change.
+void dropLastStore(Module &M, AnalysisManager &AM) {
+  Function *F = M.getFunction("main");
+  ASSERT_NE(F, nullptr);
+  F->clearMemorySSA();
+  StoreInst *St = nullptr;
+  for (BasicBlock *BB : F->blocks())
+    for (auto &I : *BB)
+      if (auto *S = dyn_cast<StoreInst>(I.get()))
+        St = S;
+  ASSERT_NE(St, nullptr);
+  St->parent()->erase(St);
+  DominatorTree DT(*F);
+  buildMemorySSA(*F, DT);
+  AM.invalidate(*F);
+}
+
 TEST(SemanticMutationTest, DroppedStoreIsAttributed) {
-  auto Errors = runSemanticMutation(
-      "int g = 0; int main() { g = 1; return g; }", "mutate-drop-store",
-      false, [](Module &M, AnalysisManager &AM) {
-        Function *F = M.getFunction("main");
-        ASSERT_NE(F, nullptr);
-        // Rebuild memory SSA from scratch around the deletion so every
-        // structural invariant stays intact: only the semantics change.
-        F->clearMemorySSA();
-        StoreInst *St = nullptr;
-        for (BasicBlock *BB : F->blocks())
-          for (auto &I : *BB)
-            if (auto *S = dyn_cast<StoreInst>(I.get()))
-              St = S;
-        ASSERT_NE(St, nullptr);
-        St->parent()->erase(St);
-        DominatorTree DT(*F);
-        buildMemorySSA(*F, DT);
-        AM.invalidate(*F);
-      });
+  auto Errors =
+      runSemanticMutation("int g = 0; int main() { g = 1; return g; }",
+                          "mutate-drop-store", false, dropLastStore);
   EXPECT_TRUE(anyContains(Errors, "after pass 'mutate-drop-store'"));
   EXPECT_TRUE(anyContains(Errors, "trans-memory") ||
               anyContains(Errors, "trans-value"));
+}
+
+// The pass manager prints each pass boundary once and rolls the text
+// forward only after a pass has verified and validated. A mutation after
+// a pass that changed nothing is still rejected and attributed to its own
+// pass, and its failure dump shows the IR it started from (the IR after
+// setup) next to the IR it produced. The diagnostics, proven against the
+// kept snapshot, read exactly as against fresh clones.
+TEST(SemanticMutationTest, MutationAfterNoOpPassDumpsItsPrePassIR) {
+  std::string AfterSetup, AfterMutation;
+  std::unique_ptr<Module> FreshPre, FreshPost;
+  std::vector<std::string> Errors;
+  EXPECT_FALSE(runSemanticSteps(
+      "int g = 0; int main() { g = 1; return g; }", false,
+      {{"no-op",
+        [&](Module &M, AnalysisManager &) {
+          AfterSetup = toString(*M.getFunction("main"));
+          FreshPre = cloneModule(M);
+        }},
+       {"mutate-drop-store",
+        [&](Module &M, AnalysisManager &AM) {
+          dropLastStore(M, AM);
+          AfterMutation = toString(*M.getFunction("main"));
+          FreshPost = cloneModule(M);
+        }}},
+      Errors));
+  EXPECT_FALSE(anyContains(Errors, "after pass 'no-op'"));
+  ASSERT_NE(AfterSetup, AfterMutation);
+  const std::string Prefix = "after pass 'mutate-drop-store': ";
+  auto Has = [&](const std::string &Text) {
+    return std::find(Errors.begin(), Errors.end(), Prefix + Text) !=
+           Errors.end();
+  };
+  EXPECT_TRUE(Has("IR of function 'main' before the pass:\n" + AfterSetup));
+  EXPECT_TRUE(Has("IR of function 'main':\n" + AfterMutation));
+
+  DiagnosticEngine DE;
+  TransValidateStats Stats;
+  ASSERT_TRUE(FreshPre && FreshPost);
+  EXPECT_FALSE(validateTranslation(*FreshPre, *FreshPost, {}, DE, Stats));
+  ASSERT_TRUE(DE.has("trans-memory") || DE.has("trans-value"));
+  for (const Diagnostic &D : DE.diagnostics())
+    EXPECT_TRUE(Has(toText(D))) << toText(D);
+}
+
+// The module snapshot rolls too: setup's post-pass clone, on which setup's
+// validation already built memory SSA, is kept across a pass that changed
+// nothing and is what the next pass is proven against. A correct edge
+// split there must be proven with no error.
+TEST(SemanticMutationTest, EdgeSplitAfterNoOpPassIsProven) {
+  std::vector<std::string> Errors;
+  TransValidateStats Stats;
+  bool Split = false;
+  EXPECT_TRUE(runSemanticSteps(
+      "int g = 0; int main() { int a; a = 3;"
+      " if (a < 5) { g = 7; } else { g = 9; } print(g); return g; }",
+      true,
+      {{"no-op", [](Module &, AnalysisManager &) {}},
+       {"split-edge",
+        [&](Module &M, AnalysisManager &AM) {
+          // The edge from one arm into the join, whose memory phi for g
+          // then merges through the new block.
+          Function *F = M.getFunction("main");
+          for (BasicBlock *BB : F->blocks())
+            if (BB->succs().size() == 1 &&
+                BB->succs()[0]->preds().size() == 2) {
+              splitEdge(BB, BB->succs()[0]);
+              AM.invalidate(*F);
+              Split = true;
+              return;
+            }
+        }}},
+      Errors, &Stats));
+  for (const auto &E : Errors)
+    ADD_FAILURE() << E;
+  EXPECT_TRUE(Split);
+  // setup and split-edge are validated; no-op is skipped as identical.
+  EXPECT_EQ(Stats.PassesValidated, 2u);
+  EXPECT_EQ(Stats.FunctionsValidated, 2u);
+  EXPECT_EQ(Stats.ObligationsFailed, 0u);
 }
 
 TEST(SemanticMutationTest, WrongPhiOperandIsAttributed) {

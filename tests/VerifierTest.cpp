@@ -216,6 +216,14 @@ TEST(CheckIdTest, CfgEntryPreds) {
   EXPECT_TRUE(checkAtFull(*F).has("cfg-entry-preds"));
 }
 
+/// The first diagnostic of check \p ID, or null.
+const Diagnostic *firstOf(const DiagnosticEngine &DE, const char *ID) {
+  for (const Diagnostic &D : DE.diagnostics())
+    if (D.CheckID == ID)
+      return &D;
+  return nullptr;
+}
+
 TEST(CheckIdTest, CfgSuccTargets) {
   Module M;
   Function *F1 = M.createFunction("f1", Type::Void);
@@ -226,8 +234,32 @@ TEST(CheckIdTest, CfgSuccTargets) {
   B.br(Foreign); // terminator target lives in another function
   IRBuilder BF(Foreign);
   BF.ret();
-  EXPECT_TRUE(checkAtFull(*F1).has("cfg-succ-targets"));
   EXPECT_FALSE(checkAtFull(*F2).has("cfg-succ-targets"));
+  DiagnosticEngine DE = checkAtFull(*F1);
+  const Diagnostic *D = firstOf(DE, "cfg-succ-targets");
+  ASSERT_NE(D, nullptr);
+  EXPECT_EQ(D->Message, "terminator of block entry targets block 'entry' "
+                        "which is not in the function");
+  EXPECT_EQ(D->Loc.Function, "f1");
+  EXPECT_EQ(D->Loc.Block, "entry");
+  EXPECT_EQ(D->Loc.InstIndex, 0);
+  EXPECT_EQ(D->Loc.Snippet, "br entry");
+
+  // A null target: printing the branch would crash, so the location is
+  // the block.
+  Function *F3 = M.createFunction("f3", Type::Void);
+  BasicBlock *C = F3->createBlock("c");
+  IRBuilder BC(C);
+  BC.print(M.constant(1));
+  C->append(std::make_unique<BrInst>(nullptr));
+  DiagnosticEngine NullDE = checkAtFull(*F3);
+  D = firstOf(NullDE, "cfg-succ-targets");
+  ASSERT_NE(D, nullptr);
+  EXPECT_EQ(D->Message, "terminator of block c targets a null block");
+  EXPECT_EQ(D->Loc.Function, "f3");
+  EXPECT_EQ(D->Loc.Block, "c");
+  EXPECT_FALSE(D->Loc.hasInstruction());
+  EXPECT_EQ(D->Loc.Snippet, "");
 }
 
 TEST(CheckIdTest, CfgPredConsistency) {
