@@ -270,6 +270,7 @@ class Decoder {
         DF.CallArgSlots.push_back(slotOf(A));
       }
       X.ArgsEnd = static_cast<uint32_t>(DF.CallArgSlots.size());
+      DF.MaxCallArgs = std::max(DF.MaxCallArgs, X.ArgsEnd - X.ArgsBegin);
       X.T0 = static_cast<int32_t>(DF.Callees.size());
       DF.Callees.push_back(C->callee());
       if (C->type() != Type::Void)

@@ -166,6 +166,9 @@ struct DecodedFunction {
   std::vector<PhiCopy> PhiCopies;
   uint32_t MaxPhiCopies = 0; ///< Largest per-edge copy list (scratch size).
   std::vector<int32_t> CallArgSlots;
+  /// Largest argument count of a call made here: the staging room a frame
+  /// keeps past its slots for the compiled code's direct calls.
+  uint32_t MaxCallArgs = 0;
   std::vector<Function *> Callees;
   std::vector<std::string> TrapMsgs;
 

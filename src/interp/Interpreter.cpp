@@ -13,8 +13,9 @@
 //    exactly the same instruction as the walker.
 //  - runNative: the native tier (jit/NativeJIT.h). Hot functions run as
 //    JIT-compiled x86-64 on the same frame arenas, entered on a call or,
-//    mid-activation, on a retreating edge (OSR); traps and fuel exhaustion
-//    deopt into execLoop mid-frame at the faulting instruction.
+//    mid-activation, on a retreating edge (OSR), and call each other
+//    directly; traps and fuel exhaustion deopt into execLoop mid-frame at
+//    the faulting instruction.
 // All engines share the memory image, the trap plumbing and the result
 // object, and may interleave within one run: functions the decoder rejects
 // (use-before-def it cannot disprove, malformed blocks) execute via the
@@ -65,6 +66,9 @@ SRP_STATISTIC(NumNativeDeopts, "interp", "native-deopts",
 SRP_STATISTIC(NumNativeOsrEntries, "interp", "native-osr-entries",
               "Bytecode activations continued in compiled code at a "
               "retreating edge (on-stack replacement)");
+SRP_STATISTIC(NumNativeDirectCalls, "interp", "native-direct-calls",
+              "Native calls compiled code made straight into a compiled "
+              "callee's direct entry (a subset of native-calls)");
 SRP_HISTOGRAM(JitCompileMicros, "interp", "jit-compile-micros",
               "Wall time of one baseline-JIT function compile (us)");
 } // namespace
@@ -211,46 +215,54 @@ class ExecEngine {
   std::unordered_map<const Function *, std::unique_ptr<jit::NativeCode>>
       LocalNative;
 
-  /// Dense per-function execution counters, converted to the pointer-keyed
-  /// result maps by finish(). The walker fallback writes the maps
-  /// directly; finish() merges with +=, so mixed runs stay exact.
-  struct FnState {
+  /// Per-function run state. Dense execution counters, converted to the
+  /// pointer-keyed result maps by finish() (the walker fallback writes the
+  /// maps directly; finish() merges with +=, so mixed runs stay exact).
+  /// The NativeLink base is what compiled code sees of it: Counts and
+  /// Callees point into the vectors below, Direct is set while the
+  /// function has code for this run's image.
+  struct FnState : jit::NativeLink {
     const DecodedFunction *DF = nullptr;
     /// Merged block+edge counters: blocks at [0, NumBlocks), edges at
     /// [NumBlocks, NumBlocks+NumEdges). One flat array so compiled code
     /// addresses both through a single pinned register.
     std::vector<uint64_t> Cnt;
     jit::NativeCode *NC = nullptr; ///< Native tier entry (native mode only).
-    /// Per-callee-index resolved state (parallel to DF->Callees), filled
+    /// Per-callee-index resolved states (parallel to DF->Callees), filled
     /// lazily so hot call sites skip the States hash lookup entirely.
     /// FnState references are stable across States rehashes, so the raw
     /// pointers stay valid for the whole run.
-    std::vector<FnState *> CalleeStates;
+    std::vector<jit::NativeLink *> CalleeStates;
   };
   std::unordered_map<const Function *, FnState> States;
 
-  /// Native-tier state: the engine<->code context (one per engine; nested
-  /// native frames share it, saving/restoring Depth around calls), the
-  /// memory-image identity compiled code must match, and the
-  /// hotness-ledger tier threshold.
+  /// The engine<->code context: one per engine, shared by nested native
+  /// frames (which save and restore Depth around calls). It also holds
+  /// the arena watermarks, which every engine moves.
   jit::NativeCtx Ctx;
+  /// The memory-image identity compiled code must match, and the
+  /// hotness-ledger tier threshold.
   uint64_t ImageSig = 0;
   uint64_t JitThreshold = jit::DefaultJitThreshold;
+  /// Fuel when compiled code last got control: what it consumed since is
+  /// its dynamic instruction count, taken whenever control leaves it.
+  uint64_t NativeMark = 0;
 
-  /// Register / frame-local-memory stacks shared by all bytecode frames
-  /// (one contiguous arena each instead of a malloc per call). Grown
-  /// manually through Top watermarks: frames are NOT zeroed on entry —
-  /// the decoder proves every plain slot is written before read, and
-  /// constant/undef slots come from DecodedFunction::ConstInits.
+  /// Register / frame-local-memory stacks shared by all bytecode and
+  /// native frames (one contiguous arena each instead of a malloc per
+  /// call). Grown manually through the Ctx.RegTop / Ctx.LocalTop
+  /// watermarks: frames are NOT zeroed on entry — the decoder proves every
+  /// plain slot is written before read, and constant/undef slots come from
+  /// DecodedFunction::ConstInits. Every frame keeps
+  /// DecodedFunction::MaxCallArgs cells past it for the arguments compiled
+  /// code stages at the top for a direct call.
   std::vector<int64_t> RegStack;
   std::vector<int64_t> LocalStack;
-  size_t RegTop = 0;
-  size_t LocalTop = 0;
   std::vector<int64_t> PhiScratch; ///< Parallel-copy staging buffer.
   std::vector<int64_t> ArgStack;   ///< Call-argument staging stack.
   /// Frame-local cells held by live walker frames (bytecode and native
-  /// frames hold LocalTop); the two together are checked against the
-  /// cell budget.
+  /// frames hold those below the local watermark); the two together are
+  /// checked against the cell budget.
   uint64_t WalkLocalCells = 0;
 
 public:
@@ -294,6 +306,7 @@ public:
       ImageSig = Mem.signature();
       Ctx.MemCells = Mem.cellsData(); // stable: no add() after this point
       Ctx.CallHelper = &callThunk;
+      Ctx.ResumeHelper = &resumeThunk;
       Ctx.PrintHelper = &printThunk;
       Ctx.Engine = this;
     }
@@ -309,8 +322,13 @@ public:
       FS.DF = &getDecoded(F);
       FS.Cnt.assign(FS.DF->Blocks.size() + FS.DF->numEdges(), 0);
       FS.CalleeStates.assign(FS.DF->Callees.size(), nullptr);
-      if (UseNative)
+      FS.Counts = FS.Cnt.data();
+      FS.Callees = FS.CalleeStates.data();
+      if (UseNative) {
         FS.NC = &getNativeCode(F);
+        if (FS.NC->Entry && FS.NC->ImageSig == ImageSig)
+          FS.Direct = FS.NC->Direct;
+      }
     }
     return FS;
   }
@@ -321,7 +339,7 @@ public:
   /// ArgStack without a per-call allocation.
   bool call(Function &F, const int64_t *Args, size_t NArgs, int64_t &RetVal,
             unsigned Depth) {
-    if (Depth > 400)
+    if (Depth > jit::MaxCallDepth)
       return trap("call stack overflow in " + F.name());
     if (UseBytecode) {
       FnState &FS = stateFor(F);
@@ -346,12 +364,13 @@ public:
     // Compiled code accumulates its dynamic counts in the context. They
     // only add to the run's totals, so one flush here is exact.
     DynamicCounts &C = R.Counts;
-    C.Instructions += Ctx.Instructions;
     C.SingletonLoads += Ctx.SingletonLoads;
     C.SingletonStores += Ctx.SingletonStores;
     C.AliasedLoads += Ctx.AliasedLoads;
     C.AliasedStores += Ctx.AliasedStores;
     C.Copies += Ctx.Copies;
+    R.Interp.DirectCalls = Ctx.DirectCalls;
+    R.Interp.NativeCalls += Ctx.DirectCalls;
     for (auto &[F, FS] : States) {
       (void)F;
       const DecodedFunction &DF = *FS.DF;
@@ -424,25 +443,38 @@ private:
     return *P;
   }
 
+  /// The arena watermarks as cell indices.
+  size_t regTop() const {
+    return static_cast<size_t>(Ctx.RegTop - RegStack.data());
+  }
+  size_t localTop() const {
+    return static_cast<size_t>(Ctx.LocalTop - LocalStack.data());
+  }
+  void setTops(size_t Reg, size_t Local) {
+    Ctx.RegTop = RegStack.data() + Reg;
+    Ctx.LocalTop = LocalStack.data() + Local;
+  }
+
   /// Pushes an activation of \p DF onto the shared arenas: bump the
   /// watermarks, seed constants and arguments, initialise frame-local
   /// memory. Beyond the watermarks the arenas hold stale garbage, which is
   /// fine — the decoder's dominance proof guarantees no plain slot is read
   /// before it is written. Traps when the live frame-local cells would
-  /// exceed the budget.
+  /// exceed the budget. The one place the arenas grow.
   bool pushFrame(const DecodedFunction &DF, const int64_t *Args,
                  size_t &Base, size_t &LocalBase) {
-    if (LocalTop + WalkLocalCells + DF.LocalArenaSize > jit::CellLimit)
+    Base = regTop();
+    LocalBase = localTop();
+    if (LocalBase + WalkLocalCells + DF.LocalArenaSize > jit::CellLimit)
       return trap("frame-local memory overflow in " + DF.F->name() +
                   " (budget " + std::to_string(jit::CellLimit) + " cells)");
-    Base = RegTop;
-    RegTop += DF.NumSlots;
-    if (RegTop > RegStack.size())
-      RegStack.resize(std::max(RegTop, RegStack.size() * 2));
-    LocalBase = LocalTop;
-    LocalTop += DF.LocalArenaSize;
-    if (LocalTop > LocalStack.size())
-      LocalStack.resize(std::max(LocalTop, LocalStack.size() * 2));
+    const size_t RegNeed = Base + DF.NumSlots + DF.MaxCallArgs;
+    if (RegNeed > RegStack.size())
+      RegStack.resize(std::max(RegNeed, RegStack.size() * 2));
+    const size_t LocalNeed = LocalBase + DF.LocalArenaSize;
+    if (LocalNeed > LocalStack.size())
+      LocalStack.resize(std::max(LocalNeed, LocalStack.size() * 2));
+    setTops(Base + DF.NumSlots, LocalNeed);
     int64_t *Rg = RegStack.data() + Base;
     int64_t *Lc = LocalStack.data() + LocalBase;
     for (const auto &CI : DF.ConstInits)
@@ -468,8 +500,7 @@ private:
     if (jit::NativeCode *NC = tierUp(DF, FS)) {
       ++R.Interp.NativeCalls;
       uint32_t ResumeIdx = 0;
-      switch (runNative(*NC, FS, Base, LocalBase, RetVal, Depth, 0,
-                        ResumeIdx)) {
+      switch (runNative(*NC, FS, RetVal, Depth, 0, ResumeIdx)) {
       case NativeExit::Returned:
         return true;
       case NativeExit::Trapped:
@@ -519,33 +550,49 @@ private:
     if (!Ok)
       return nullptr;
     ++R.Interp.FunctionsCompiled;
+    FS.Direct = NC->Direct;
     return NC;
   }
 
   enum class NativeExit { Returned, Trapped, Deopted };
 
-  /// Runs compiled code on the pushed frame at \p Base / \p LocalBase,
-  /// starting at block \p StartBlock: 0 for a call, a retreating edge's
-  /// target for an OSR entry. Returned pops the frame; Trapped has the
-  /// trap recorded by a helper; Deopted leaves the frame for the bytecode
-  /// loop to resume at instruction \p ResumeIdx with per-instruction fuel
-  /// (the native tier never leaves a prepaid segment behind).
-  NativeExit runNative(jit::NativeCode &NC, FnState &FS, size_t Base,
-                       size_t LocalBase, int64_t &RetVal, unsigned Depth,
-                       uint32_t StartBlock, uint32_t &ResumeIdx) {
+  /// Control passes to compiled code: it takes the fuel, the arenas'
+  /// usable ends (the frame-local one capped by the cell budget, which
+  /// walker frames share), and starts a new instruction span.
+  void enterNative() {
     Ctx.FuelLeft = FuelLeft;
+    NativeMark = FuelLeft;
+    Ctx.RegEnd = RegStack.data() + RegStack.size();
+    Ctx.LocalEnd = LocalStack.data() +
+                   std::min<uint64_t>(LocalStack.size(),
+                                      jit::CellLimit - WalkLocalCells);
+  }
+  /// Control returns from compiled code: every fuel unit it consumed
+  /// since enterNative was one instruction it executed (a deopt stub has
+  /// refunded what it did not run).
+  void leaveNative() {
+    FuelLeft = Ctx.FuelLeft;
+    R.Counts.Instructions += NativeMark - FuelLeft;
+  }
+
+  /// Runs compiled code on the activation whose frame the watermarks end
+  /// at, starting at block \p StartBlock: 0 for a call, a retreating
+  /// edge's target for an OSR entry. Returned has popped the frame;
+  /// Trapped has the trap recorded by a helper; Deopted leaves the frame
+  /// for the bytecode loop to resume at instruction \p ResumeIdx with
+  /// per-instruction fuel (the stub refunded the rest of the segment).
+  NativeExit runNative(jit::NativeCode &NC, FnState &FS, int64_t &RetVal,
+                       unsigned Depth, uint32_t StartBlock,
+                       uint32_t &ResumeIdx) {
+    enterNative();
     const uint32_t SavedDepth = Ctx.Depth;
     Ctx.Depth = Depth;
     Ctx.Status = jit::StatusOk;
-    int64_t Ret = NC.Entry(&Ctx, RegStack.data() + Base,
-                           LocalStack.data() + LocalBase, FS.Cnt.data(), &FS,
-                           StartBlock);
+    int64_t Ret = NC.Entry(&Ctx, &FS, StartBlock);
     Ctx.Depth = SavedDepth;
-    FuelLeft = Ctx.FuelLeft;
+    leaveNative();
     if (Ctx.Status == jit::StatusOk) {
       RetVal = Ret;
-      RegTop = Base;
-      LocalTop = LocalBase;
       return NativeExit::Returned;
     }
     if (Ctx.Status != jit::StatusDeopt)
@@ -556,28 +603,27 @@ private:
     return NativeExit::Deopted;
   }
 
-  /// The BOp::Call helper compiled code calls out to. Mirrors the
-  /// bytecode loop's Call case byte for byte: depth check, callee-state
-  /// resolution, argument staging, tier dispatch, trap propagation — and
-  /// re-anchors the caller's frame pointers since the callee may have
-  /// grown the shared arenas.
-  int64_t nativeCall(jit::NativeCtx *C, FnState *CallerFS, uint64_t CodeIdx,
-                     int64_t *Rg, int64_t *Lc) {
-    const DecodedFunction &DF = *CallerFS->DF;
+  /// The BOp::Call helper compiled code calls out to when it cannot call
+  /// directly. Mirrors the bytecode loop's Call case byte for byte: depth
+  /// check, callee-state resolution, argument staging, tier dispatch,
+  /// trap propagation. The caller's frame is the top one; compiled code
+  /// re-anchors it from the watermarks afterwards, since the callee may
+  /// have grown the shared arenas.
+  int64_t nativeCall(FnState &CallerFS, uint64_t CodeIdx) {
+    leaveNative();
+    const DecodedFunction &DF = *CallerFS.DF;
     const BInst &X = DF.Code[CodeIdx];
     Function &Callee = *DF.Callees[X.T0];
-    FuelLeft = C->FuelLeft;
-    const unsigned Depth = C->Depth;
-    const size_t RgOff = static_cast<size_t>(Rg - RegStack.data());
-    const size_t LcOff = static_cast<size_t>(Lc - LocalStack.data());
+    const unsigned Depth = Ctx.Depth;
+    const int64_t *Rg = Ctx.RegTop - DF.NumSlots;
     int64_t Out = 0;
     bool Ok;
-    if (Depth >= 400) {
+    if (Depth >= jit::MaxCallDepth) {
       Ok = trap("call stack overflow in " + Callee.name());
     } else {
-      FnState *CS = CallerFS->CalleeStates[X.T0];
+      auto *CS = static_cast<FnState *>(CallerFS.CalleeStates[X.T0]);
       if (!CS)
-        CS = CallerFS->CalleeStates[X.T0] = &stateFor(Callee);
+        CallerFS.CalleeStates[X.T0] = CS = &stateFor(Callee);
       const uint32_t NA = X.ArgsEnd - X.ArgsBegin;
       const size_t AB = ArgStack.size();
       ArgStack.resize(AB + NA);
@@ -598,17 +644,37 @@ private:
       }
       ArgStack.resize(AB);
     }
-    C->CurRg = RegStack.data() + RgOff;
-    C->CurLc = LocalStack.data() + LcOff;
-    C->FuelLeft = FuelLeft;
-    C->Status = Ok ? jit::StatusOk : jit::StatusTrap;
+    Ctx.Status = Ok ? jit::StatusOk : jit::StatusTrap;
+    enterNative();
     return Out;
   }
 
-  static int64_t callThunk(jit::NativeCtx *C, void *CallerFS, uint64_t Idx,
-                           int64_t *Rg, int64_t *Lc) {
+  /// Finishes, in the bytecode loop, a directly called activation of
+  /// \p FS that deopted at \p CodeIdx. Its frame is the top one and its
+  /// depth is the context's; the loop pops the frame when it returns.
+  int64_t nativeResume(FnState &FS, uint64_t CodeIdx) {
+    leaveNative();
+    ++R.Interp.Deopts;
+    const DecodedFunction &DF = *FS.DF;
+    int64_t Out = 0;
+    const bool Ok = execLoop<true>(DF, FS, regTop() - DF.NumSlots,
+                                   localTop() - DF.LocalArenaSize, Out,
+                                   Ctx.Depth, DF.Code.data() + CodeIdx);
+    Ctx.Status = Ok ? jit::StatusOk : jit::StatusTrap;
+    enterNative();
+    return Out;
+  }
+
+  static int64_t callThunk(jit::NativeCtx *C, jit::NativeLink *Caller,
+                           uint64_t Idx) {
     return static_cast<ExecEngine *>(C->Engine)
-        ->nativeCall(C, static_cast<FnState *>(CallerFS), Idx, Rg, Lc);
+        ->nativeCall(*static_cast<FnState *>(Caller), Idx);
+  }
+
+  static int64_t resumeThunk(jit::NativeCtx *C, jit::NativeLink *Self,
+                             uint64_t Idx) {
+    return static_cast<ExecEngine *>(C->Engine)
+        ->nativeResume(*static_cast<FnState *>(Self), Idx);
   }
 
   static void printThunk(jit::NativeCtx *C, int64_t V) {
@@ -624,7 +690,9 @@ private:
   /// starts with per-instruction fuel. With \p Tiering (the native engine)
   /// a retreating edge ticks the hotness ledger and may hand the frame to
   /// compiled code (OSR); a deopt from there resumes in this same loop.
-  /// The bytecode engine's instance carries no tiering check at all.
+  /// A directly called activation that deopts gets a loop of its own from
+  /// the resume helper. The bytecode engine's instance carries no tiering
+  /// check at all.
   template <bool Tiering>
   bool execLoop(const DecodedFunction &DF, FnState &FS, size_t Base,
                 size_t LocalBase, int64_t &RetVal, unsigned Depth,
@@ -662,9 +730,9 @@ private:
 
     if (ResumeAt) {
       // Deopt re-entry: the compiled code already counted this block and
-      // every instruction before ResumeAt; pay fuel per instruction from
-      // here (Prepaid == 0) so exhaustion fires exactly where the JIT's
-      // per-instruction ledger says it must.
+      // every instruction before ResumeAt, and refunded the rest of its
+      // prepaid segment; pay fuel per instruction from here (Prepaid == 0)
+      // until the next segment, as a per-instruction engine would.
       goto Dispatch;
     }
 
@@ -818,13 +886,13 @@ private:
       }
       case BOp::Call: {
         Function &Callee = *DF.Callees[X.T0];
-        if (Depth >= 400)
+        if (Depth >= jit::MaxCallDepth)
           return trap("call stack overflow in " + Callee.name());
         // Resolve the callee's state once per call site per run; later
         // executions skip the States hash lookup.
-        FnState *CS = FS.CalleeStates[X.T0];
+        auto *CS = static_cast<FnState *>(FS.CalleeStates[X.T0]);
         if (!CS)
-          CS = FS.CalleeStates[X.T0] = &stateFor(Callee);
+          FS.CalleeStates[X.T0] = CS = &stateFor(Callee);
         const uint32_t NA = X.ArgsEnd - X.ArgsBegin;
         // Stage arguments on the shared stack (no per-call allocation);
         // the callee copies them into its frame before pushing any of its
@@ -875,8 +943,7 @@ private:
         goto NextBlock;
       case BOp::Ret:
         RetVal = X.A >= 0 ? Rg[X.A] : 0;
-        RegTop = Base;
-        LocalTop = LocalBase;
+        setTops(Base, LocalBase);
         return true;
       case BOp::Trap:
         return trap(DF.TrapMsgs[X.T0]);
@@ -893,8 +960,7 @@ private:
       goto NextBlock;
     ++R.Interp.OsrEntries;
     uint32_t ResumeIdx = 0;
-    switch (runNative(*NC, FS, Base, LocalBase, RetVal, Depth, BI,
-                      ResumeIdx)) {
+    switch (runNative(*NC, FS, RetVal, Depth, BI, ResumeIdx)) {
     case NativeExit::Returned:
       return true;
     case NativeExit::Trapped:
@@ -936,7 +1002,7 @@ private:
     for (const auto &L : F.locals())
       if (!L->isAddressTaken())
         FrameCells += L->size();
-    if (LocalTop + WalkLocalCells + FrameCells > jit::CellLimit)
+    if (localTop() + WalkLocalCells + FrameCells > jit::CellLimit)
       return trap("frame-local memory overflow in " + F.name() + " (budget " +
                   std::to_string(jit::CellLimit) + " cells)");
     WalkLocalCells += FrameCells;
@@ -1243,6 +1309,7 @@ ExecutionResult Interpreter::run(const std::string &EntryName,
   NumNativeCompiles += R.Interp.FunctionsCompiled;
   NumNativeCalls += R.Interp.NativeCalls;
   NumNativeOsrEntries += R.Interp.OsrEntries;
+  NumNativeDirectCalls += R.Interp.DirectCalls;
   NumNativeDeopts += R.Interp.Deopts;
   ExecMicros += static_cast<uint64_t>(R.Interp.ExecSeconds * 1e6);
   return R;

@@ -96,6 +96,8 @@ struct InterpRunStats {
   uint64_t WalkFallbackCalls = 0; ///< Calls executed by the walker fallback.
   uint64_t FunctionsCompiled = 0; ///< Native-tier compiles this run.
   uint64_t NativeCalls = 0;       ///< Calls executed by JIT-compiled code.
+  uint64_t DirectCalls = 0; ///< Of those, calls compiled code made straight
+                            ///< into a compiled callee's direct entry.
   uint64_t OsrEntries = 0; ///< Activations entered into compiled code at a
                            ///< retreating edge (on-stack replacement).
   uint64_t Deopts = 0;            ///< Native frames resumed in bytecode.

@@ -252,6 +252,7 @@ private:
   /// Parses the body between the current "func ... {" line and its "}".
   void parseFunctionBody() {
     // Re-lex the header to find the function (already declared).
+    const unsigned HeaderLine = LineNo;
     std::vector<Tok> T = tokenize(stripped(Lines[LineNo - 1]));
     size_t Idx = 2;
     if (T[Idx].K == Tok::Punct && T[Idx].P == '@')
@@ -287,6 +288,14 @@ private:
         }
         BlocksByName[*Label] = F->createBlock(*Label);
       }
+    }
+    // A function without an entry block has no CFG for the pipeline to
+    // work on; only API-built modules may hold one (calling it traps).
+    if (F->empty()) {
+      LineNo = HeaderLine;
+      error("function '" + F->name() + "' has no blocks");
+      LineNo = BodyEnd;
+      return;
     }
 
     BasicBlock *Cur = nullptr;

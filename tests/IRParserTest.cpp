@@ -267,6 +267,30 @@ entry:
   EXPECT_EQ(R.ExitValue, -1);
 }
 
+// A function with no entry block once reached mem2reg and crashed srpc
+// (and a compile server's worker with it). The parser refuses both
+// shapes, an empty body and a bare header, at the function's header line.
+TEST(IRParserTest, RejectsFunctionWithoutBlocks) {
+  for (const char *Src : {"func void @main() {\n}\n", "func void @main\n"}) {
+    std::vector<std::string> Errors;
+    EXPECT_EQ(parseIR(Src, Errors), nullptr) << Src;
+    ASSERT_EQ(Errors.size(), 1u) << Src;
+    EXPECT_EQ(Errors[0], "line 1: function 'main' has no blocks");
+  }
+  std::vector<std::string> Errors;
+  auto M = parseIR(R"(func int @main() {
+entry:
+  ret 0
+}
+func void @f() {
+}
+)",
+                   Errors);
+  EXPECT_EQ(M, nullptr);
+  ASSERT_EQ(Errors.size(), 1u);
+  EXPECT_EQ(Errors[0], "line 5: function 'f' has no blocks");
+}
+
 TEST(IRParserTest, CopiesAndNegativeConstants) {
   auto M = parseOrDie(R"(
 func int @main() {

@@ -10,9 +10,11 @@
 /// the threshold, compiled and cached after), on-stack-replacement entry
 /// into compiled code at a loop's back edge, the deopt edges (fuel
 /// exhaustion mid-JIT, traps raised from compiled code, deopt-and-continue
-/// for conditions the templates refuse to encode), analysis-manager
-/// invalidation when a promoter edits a compiled function, and the W^X
-/// lifecycle of the code pages.
+/// for conditions the templates refuse to encode), direct calls between
+/// compiled functions (deopts inside a directly called activation,
+/// declines, the depth trap), analysis-manager invalidation when a
+/// promoter edits a compiled function, and the W^X lifecycle of the code
+/// pages.
 ///
 /// The NativeParityHeavyTest matrix at the bottom is the
 /// `srp_native_parity` ctest gate: every workload x promotion mode,
@@ -28,6 +30,7 @@
 #include "analysis/AnalysisManager.h"
 #include "interp/Interpreter.h"
 #include "ir/CFGEdit.h"
+#include "ir/IRBuilder.h"
 #include "ir/Module.h"
 #include "jit/NativeJIT.h"
 #include "pipeline/Pipeline.h"
@@ -77,6 +80,12 @@ ExecutionResult runNative(Module &M, uint64_t Threshold,
 /// retreating edge; tests compare it before and after a run.
 uint64_t osrEntries() {
   return stats::snapshot().at("interp.native-osr-entries");
+}
+
+/// Process-wide count of calls compiled code made into a compiled
+/// callee's direct entry; tests compare it before and after a run.
+uint64_t directCalls() {
+  return stats::snapshot().at("interp.native-direct-calls");
 }
 
 /// A native run at \p Threshold checked against the walker and the
@@ -205,13 +214,18 @@ TEST(NativeJitTest, LedgerTicksOnCallsAndRetreatingEdges) {
   EXPECT_EQ(AM.get<jit::NativeCode>(*Bump).HotCount, 6u);
 
   // Third run: main is entered natively on its call; bump compiles on
-  // its first call (its 7th tick) and every call runs natively.
+  // its first call (its 7th tick) and every call runs natively, the last
+  // two as direct calls from main's code, which tick the ledger too.
   Before = osrEntries();
+  const uint64_t DirectBefore = directCalls();
   ExecutionResult R3 = runNative(*M, 7, &AM);
   ASSERT_TRUE(R3.Ok) << R3.Error;
   EXPECT_EQ(osrEntries() - Before, 0u);
+  EXPECT_EQ(directCalls() - DirectBefore, 2u);
   EXPECT_EQ(R3.Interp.FunctionsCompiled, 1u);
   EXPECT_EQ(R3.Interp.NativeCalls, 4u);
+  EXPECT_EQ(AM.get<jit::NativeCode>(*Main).HotCount, 8u);
+  EXPECT_EQ(AM.get<jit::NativeCode>(*Bump).HotCount, 9u);
   expectSameResult(R1, R2, "run1-vs-run2");
   expectSameResult(R1, R3, "run1-vs-run3");
 }
@@ -593,6 +607,324 @@ TEST(NativeJitTest, OsrUnderRecursion) {
   EXPECT_EQ(Osr, 3u); // walk(10) loop 1; walk(11) and walk(12) loop 2
   EXPECT_EQ(N.Interp.FunctionsCompiled, 1u);
   EXPECT_EQ(N.Interp.NativeCalls, 10u); // walk(9) ... walk(0)
+}
+
+//===--------------------------------------------------------------------===//
+// Direct calls: compiled code calling a compiled callee's direct entry.
+// At threshold 1 every function compiles on its first call; a call site's
+// first execution resolves the callee through the engine's helper, every
+// later one calls the direct entry, which accepts or declines.
+//===--------------------------------------------------------------------===//
+
+/// A native run at threshold 1 checked like expectNativeParity; returns
+/// the native result and the run's direct calls through \p Direct, also
+/// checking the statistic against the run's own count.
+ExecutionResult expectDirectParity(Module &M, const std::string &What,
+                                   uint64_t &Direct,
+                                   uint64_t Fuel = DefaultFuel) {
+  const uint64_t Before = directCalls();
+  uint64_t Osr = 0;
+  ExecutionResult N = expectNativeParity(M, 1, What, Osr, Fuel);
+  Direct = directCalls() - Before;
+  EXPECT_EQ(Direct, N.Interp.DirectCalls) << What;
+  EXPECT_LE(Direct, N.Interp.NativeCalls) << What;
+  return N;
+}
+
+TEST(NativeJitTest, DirectlyCalledCalleeDeoptsAfterWarmUp) {
+  if (!jit::nativeJitSupported())
+    GTEST_SKIP() << "no baseline JIT on this host";
+  // The divisor reaches zero on the 21st call of f; calls 2-21 are direct,
+  // so the trap fires in a directly called activation, which deopts and
+  // is finished (here: trapped) by the resume helper.
+  auto DivZero = compileOrDie(R"(
+    int g = 0;
+    int f(int d) { return 100 / d; }
+    void main() {
+      int i = 20;
+      while (i > 0 - 1) { print(i); g = g + f(i); i = i - 1; }
+    }
+  )");
+  uint64_t Direct = 0;
+  ExecutionResult N = expectDirectParity(*DivZero, "direct-div-zero", Direct);
+  EXPECT_EQ(N.Error, "division by zero");
+  EXPECT_EQ(Direct, 20u);
+  EXPECT_EQ(N.Interp.Deopts, 1u);
+
+  // Division by -1 deopts on every call without trapping: the resume
+  // helper runs the rest of f in the bytecode loop, including its call
+  // to g, and f returns its value to the compiled caller.
+  auto DivMinusOne = compileOrDie(R"(
+    int d;
+    int g(int x) { return x * 2; }
+    int f(int x) { int q = x / d; return q + g(x); }
+    int main() {
+      d = 0 - 1;
+      int s = 0;
+      int i = 0;
+      while (i < 10) { s = s + f(i); i = i + 1; }
+      print(s);
+      return s;
+    }
+  )");
+  N = expectDirectParity(*DivMinusOne, "direct-div-minus-one", Direct);
+  ASSERT_TRUE(N.Ok) << N.Error;
+  EXPECT_EQ(N.ExitValue, 45);
+  EXPECT_EQ(Direct, 9u);                  // f's calls 2-10
+  EXPECT_EQ(N.Interp.Deopts, 10u);        // every call of f
+  EXPECT_EQ(N.Interp.NativeCalls, 21u);   // main, f x10, g x10
+  EXPECT_EQ(N.Interp.FunctionsCompiled, 3u);
+
+  // An out-of-bounds read on the fifth call, the fourth direct one.
+  auto OutOfBounds = compileOrDie(R"(
+    int a[4];
+    int f(int i) { return a[i]; }
+    int main() {
+      int s = 0;
+      int i = 0;
+      while (i < 8) { s = s + f(i); i = i + 1; }
+      return s;
+    }
+  )");
+  N = expectDirectParity(*OutOfBounds, "direct-oob", Direct);
+  EXPECT_EQ(N.Error, "out-of-bounds read of a");
+  EXPECT_EQ(Direct, 4u);
+  EXPECT_EQ(N.Interp.Deopts, 1u);
+}
+
+TEST(NativeJitTest, DirectCallDeclinesWhenTheArenaMustGrow) {
+  if (!jit::nativeJitSupported())
+    GTEST_SKIP() << "no baseline JIT on this host";
+  // Without mem2reg every local lives in the frame-local arena. Each
+  // iteration recurses deeper than any before, so at the frontier the
+  // callee's frame needs more arena than is reserved: the direct entry
+  // declines, the call helper grows both arenas, and the compiled caller
+  // re-anchors its frame — its argument and its frame-local scalars are
+  // read again after the call returns.
+  auto M = compileOrDie(R"(
+    int deep(int n) {
+      int k = n;
+      int twice = n + n;
+      if (k == 0) return 0;
+      int r = deep(k - 1);
+      return r + twice - k + n - n;
+    }
+    int main() {
+      int s = 0;
+      int i = 0;
+      while (i < 40) { s = s + deep(i * 9); i = i + 1; }
+      print(s);
+      return s;
+    }
+  )");
+  uint64_t Direct = 0;
+  ExecutionResult N = expectDirectParity(*M, "direct-decline", Direct);
+  ASSERT_TRUE(N.Ok) << N.Error;
+  EXPECT_EQ(N.ExitValue, 835380); // sum over i < 40 of 9i(9i+1)/2
+  EXPECT_GT(Direct, 0u);
+  // Without declines only three native calls would avoid the direct
+  // entry: main's (from the engine) and each call site's first execution.
+  EXPECT_GT(N.Interp.NativeCalls - Direct, 3u);
+}
+
+TEST(NativeJitTest, RecursionThroughDirectCallsReachesTheDepthTrap) {
+  if (!jit::nativeJitSupported())
+    GTEST_SKIP() << "no baseline JIT on this host";
+  // main and f's first activation call through the helper (their call
+  // sites are not resolved yet); f's activations at depths 2-399 call
+  // directly, except where the arenas must grow; at depth 400 the direct
+  // entry declines and the helper raises the trap. Every call counts as
+  // a native call, as it did through the helper alone.
+  auto M = compileOrDie(R"(
+    int f(int n) { return f(n + 1); }
+    int main() { return f(0); }
+  )");
+  uint64_t Direct = 0;
+  ExecutionResult N = expectDirectParity(*M, "direct-depth-trap", Direct);
+  EXPECT_EQ(N.Error, "call stack overflow in f");
+  EXPECT_EQ(N.Interp.NativeCalls, 401u); // main and f at depths 1-400
+  EXPECT_LE(Direct, 398u);
+  EXPECT_GE(Direct, 390u); // a few declines at the arenas' growth points
+}
+
+TEST(NativeJitTest, FuelSweepAcrossDirectCalls) {
+  if (!jit::nativeJitSupported())
+    GTEST_SKIP() << "no baseline JIT on this host";
+  // Every budget from zero to completion: each one runs out at a
+  // different instruction, so the sweep exhausts fuel inside directly
+  // called activations of f and g, in f's post-call segment, and at
+  // every segment's first instruction (where compiled code cannot prepay
+  // and deopts). Each must trap exactly as bytecode does, after exactly
+  // as many instructions as the budget allows.
+  auto M = compileOrDie(R"(
+    int g(int x) { return x + 1; }
+    int f(int x) {
+      int y = g(x);
+      print(y);
+      if (y > 3) return y + x;
+      return y - x;
+    }
+    void main() {
+      int i = 0;
+      int s = 0;
+      while (i < 6) { s = s + f(i); i = i + 1; }
+      print(s);
+    }
+  )");
+  ExecutionResult Full = Interpreter(*M, DefaultFuel,
+                                     InterpEngine::Bytecode).run();
+  ASSERT_TRUE(Full.Ok) << Full.Error;
+  const uint64_t Total = Full.Counts.Instructions;
+  ASSERT_LT(Total, 1000u) << "sweep program grew too large";
+
+  uint64_t ExhaustedAfterDirectCalls = 0;
+  for (uint64_t Fuel = 0; Fuel <= Total + 2; ++Fuel) {
+    uint64_t Direct = 0;
+    ExecutionResult N = expectDirectParity(
+        *M, "fuel=" + std::to_string(Fuel), Direct, Fuel);
+    if (Fuel < Total) {
+      EXPECT_EQ(N.Error, "out of fuel (infinite loop?)") << Fuel;
+      EXPECT_EQ(N.Counts.Instructions, Fuel);
+      if (Direct && N.Interp.Deopts)
+        ++ExhaustedAfterDirectCalls;
+    } else {
+      EXPECT_TRUE(N.Ok) << Fuel;
+      EXPECT_EQ(Direct, 10u); // calls 2-6 of f and of g
+    }
+  }
+  EXPECT_GT(ExhaustedAfterDirectCalls, 0u);
+}
+
+TEST(NativeJitTest, ArityMismatchFromCompiledCaller) {
+  if (!jit::nativeJitSupported())
+    GTEST_SKIP() << "no baseline JIT on this host";
+  // Mini-C cannot spell a wrong-arity call, so one is added through the
+  // API after main's loop, which has called f directly by then.
+  auto M = compileOrDie(R"(
+    int f(int x) { return x + 1; }
+    int main() {
+      int s = 0;
+      int i = 0;
+      while (i < 5) { s = s + f(i); i = i + 1; }
+      print(s);
+      return s;
+    }
+  )");
+  Function *Main = M->getFunction("main");
+  Function *F = M->getFunction("f");
+  ASSERT_TRUE(Main && F);
+  BasicBlock *Exit = nullptr;
+  for (BasicBlock *BB : Main->blocks())
+    if (isa<RetInst>(BB->terminator()))
+      Exit = BB;
+  ASSERT_NE(Exit, nullptr);
+  Exit->insertBeforeTerminator(std::make_unique<CallInst>(
+      F, std::vector<Value *>{M->constant(1), M->constant(2)}, Type::Int));
+
+  uint64_t Direct = 0;
+  ExecutionResult N = expectDirectParity(*M, "direct-arity", Direct);
+  EXPECT_EQ(N.Error, "arity mismatch calling f");
+  EXPECT_EQ(N.Output, std::vector<int64_t>{15});
+  EXPECT_EQ(Direct, 4u);
+  EXPECT_EQ(N.Interp.FunctionsCompiled, 2u);
+}
+
+TEST(NativeJitTest, DirectEntrySeedsFrameLocalMemory) {
+  if (!jit::nativeJitSupported())
+    GTEST_SKIP() << "no baseline JIT on this host";
+  // Mini-C has no local arrays; build them through the API. Every
+  // activation of f must start with all eight cells of arr at 7 and big at
+  // a constant wider than 32 bits, whether the engine or the direct entry
+  // pushes its frame: f updates the first and last cell and big, so a
+  // frame that inherits its predecessor's cells returns more.
+  auto M = std::make_unique<Module>("frame-locals");
+  Function *F = M->createFunction("f", Type::Int);
+  Value *X = F->addArgument("x");
+  MemoryObject *Arr = F->createLocal("arr", MemoryObject::Kind::Array, 8, 7);
+  MemoryObject *Big =
+      F->createLocal("big", MemoryObject::Kind::Local, 1, int64_t(1) << 40);
+  IRBuilder FB(F->createBlock("entry"));
+  Value *First = FB.constant(0), *Last = FB.constant(7);
+  FB.arrayStore(Arr, First, FB.add(FB.arrayLoad(Arr, First), X));
+  FB.arrayStore(Arr, Last, FB.add(FB.arrayLoad(Arr, Last), FB.constant(7)));
+  FB.store(Big, FB.add(FB.load(Big), X));
+  FB.ret(FB.add(FB.add(FB.arrayLoad(Arr, First), FB.arrayLoad(Arr, Last)),
+                FB.load(Big)));
+
+  Function *Main = M->createFunction("main", Type::Int);
+  BasicBlock *Entry = Main->createBlock("entry");
+  BasicBlock *Head = Main->createBlock("head");
+  BasicBlock *Body = Main->createBlock("body");
+  BasicBlock *Exit = Main->createBlock("exit");
+  IRBuilder B(Entry);
+  B.br(Head);
+  B.setInsertPoint(Head);
+  PhiInst *I = B.phi(Type::Int, "i");
+  PhiInst *S = B.phi(Type::Int, "s");
+  B.condBr(B.cmpLT(I, B.constant(7)), Body, Exit);
+  B.setInsertPoint(Body);
+  Value *S2 = B.add(S, B.call(F, {I}));
+  Value *I2 = B.add(I, B.constant(1));
+  B.br(Head);
+  I->addIncoming(B.constant(0), Entry);
+  I->addIncoming(I2, Body);
+  S->addIncoming(B.constant(0), Entry);
+  S->addIncoming(S2, Body);
+  B.setInsertPoint(Exit);
+  B.print(S);
+  B.ret(S);
+
+  uint64_t Direct = 0;
+  ExecutionResult N = expectDirectParity(*M, "direct-frame-locals", Direct);
+  ASSERT_TRUE(N.Ok) << N.Error;
+  // f(x) = (7 + x) + 14 + (2^40 + x), summed over x = 0..6.
+  EXPECT_EQ(N.ExitValue, 7 * (21 + (int64_t(1) << 40)) + 2 * 21);
+  EXPECT_EQ(Direct, 6u);
+}
+
+TEST(NativeJitTest, WideCallSitesGoDirect) {
+  if (!jit::nativeJitSupported())
+    GTEST_SKIP() << "no baseline JIT on this host";
+  // Every frame keeps room past its slots for its widest call, so a call
+  // site of any arity goes direct: main's call of mid from an engine-pushed
+  // frame, and mid's call of leaf from a directly entered one.
+  constexpr unsigned Wide = 20;
+  auto List = [](const std::string &First, const std::string &Rest) {
+    std::string L = First;
+    for (unsigned K = 1; K != Wide; ++K)
+      L += ", " + Rest + std::to_string(K);
+    return L;
+  };
+  const std::string Params = List("int a0", "int a");
+  auto M = compileOrDie(
+      "int leaf(" + Params + ") { return a0 + a19; }\n" + "int mid(" +
+      Params + ") { return leaf(" + List("a0", "a") + ") + a1; }\n" +
+      "int main() {\n  int s = 0;\n  int i = 0;\n"
+      "  while (i < 5) { s = s + mid(" + List("i", "") +
+      "); i = i + 1; }\n  print(s);\n  return s;\n}\n");
+  uint64_t Direct = 0;
+  ExecutionResult N = expectDirectParity(*M, "wide-calls", Direct);
+  ASSERT_TRUE(N.Ok) << N.Error;
+  EXPECT_EQ(N.ExitValue, 10 + 5 * 20);
+  EXPECT_EQ(Direct, 8u);                 // mid's and leaf's calls 2-5
+  EXPECT_EQ(N.Interp.NativeCalls, 11u); // main, mid x5, leaf x5
+
+  // A wide recursion that outgrows the register arena: at each growth
+  // point the last frame a direct entry accepts still has room to stage
+  // its own call's arguments, and the next frame declines.
+  auto Deep = compileOrDie(
+      "int wide(" + Params + ") {\n  if (a0 == 0) return a19;\n" +
+      "  return wide(" + List("a0 - 1", "a") + ") + a1;\n}\n" +
+      "int main() {\n  int s = 0;\n  int i = 0;\n"
+      "  while (i < 5) { s = s + wide(" + List("i * 40", "") +
+      "); i = i + 1; }\n  print(s);\n  return s;\n}\n");
+  N = expectDirectParity(*Deep, "wide-recursion", Direct);
+  ASSERT_TRUE(N.Ok) << N.Error;
+  EXPECT_EQ(N.ExitValue, 5 * 19 + 40 * 10);
+  EXPECT_EQ(N.Interp.NativeCalls, 406u); // main, wide at 40i + 1 per i
+  EXPECT_GT(Direct, 0u);
+  // Beyond main's call and each call site's first execution: declines.
+  EXPECT_GT(N.Interp.NativeCalls - Direct, 3u);
 }
 
 //===--------------------------------------------------------------------===//

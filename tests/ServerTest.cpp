@@ -299,6 +299,40 @@ TEST(ServerTest, OversizedLiteralIsAnErrorResponse) {
   EXPECT_EQ(S.Srv.stats().JobsFailed, 1u);
 }
 
+// Textual IR declaring a function without blocks once crashed the worker
+// in mem2reg and took the daemon down; the parser now refuses it, so the
+// job fails alone and the daemon keeps serving.
+TEST(ServerTest, BlocklessIRFunctionIsAnErrorResponse) {
+  ServerOptions O;
+  O.SocketPath = testSocketPath("blockless");
+  O.Threads = 1;
+  RunningServer S(O);
+  ASSERT_TRUE(S.Started);
+
+  Client Cl;
+  std::string Err;
+  ASSERT_TRUE(Cl.connect(O.SocketPath, Err)) << Err;
+  CompileJob Bad =
+      makeJob("func void @main() {\n}\n", PromotionMode::Paper, "e.ir");
+  Bad.InputIsIR = true;
+  CompileResponse R;
+  ASSERT_TRUE(Cl.compile(Bad, R, Err)) << Err;
+  EXPECT_FALSE(R.Ok);
+  ASSERT_FALSE(R.Errors.empty());
+  EXPECT_NE(R.Errors[0].find("function 'main' has no blocks"),
+            std::string::npos)
+      << R.Errors[0];
+
+  CompileResponse Next;
+  ASSERT_TRUE(Cl.compile(makeJob(overlappingProgram(1), PromotionMode::Paper,
+                                 "next.mc"),
+                         Next, Err))
+      << Err;
+  EXPECT_TRUE(Next.Ok);
+  EXPECT_TRUE(Cl.ping(Err)) << Err;
+  EXPECT_EQ(S.Srv.stats().JobsFailed, 1u);
+}
+
 // Mini-C nested past the front end's limit once overflowed the stack of
 // the worker compiling it and took the whole daemon down; it must come
 // back as an ordinary failed job. The deepest input the limit accepts, of
