@@ -17,7 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/CFGCanonicalize.h"
-#include "analysis/Verifier.h"
+#include "analysis/StaticAnalysis.h"
 #include "frontend/Lowering.h"
 #include "interp/Interpreter.h"
 #include "ir/Module.h"
@@ -76,9 +76,9 @@ int main() {
   for (auto &S : Fns)
     promoteRegisters(*S.F, S.CFG.DT, S.CFG.IT, PI, {});
 
-  auto Errs = verify(*M);
-  for (const auto &E : Errs)
-    std::fprintf(stderr, "verifier: %s\n", E.c_str());
+  DiagnosticEngine DE;
+  runChecks(*M, DE, Strictness::Fast);
+  std::fputs(diagnosticsToText(DE.diagnostics()).c_str(), stderr);
 
   std::printf("== main() after promotion ==\n%s\n",
               toString(*M->getFunction("main")).c_str());
@@ -92,5 +92,5 @@ int main() {
               static_cast<unsigned long long>(After.Counts.memOps()));
   std::printf("(the paper reduces this example from 200 memory operations "
               "to 2)\n");
-  return Errs.empty() && After.Ok ? 0 : 1;
+  return !DE.hasErrors() && After.Ok ? 0 : 1;
 }

@@ -14,10 +14,6 @@
 /// (`error[ssa-use-dominance] f:bb3:#2: ...`) and a byte-stable JSON
 /// array for `srpc --analyze --diag-json`.
 ///
-/// This replaces the old `std::vector<std::string>` verifier API: the
-/// legacy `srp::verify()` entry points are now thin shims that render
-/// diagnostics back into strings (see analysis/Verifier.h).
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef SRP_ANALYSIS_DIAGNOSTICS_H

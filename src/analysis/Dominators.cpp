@@ -13,62 +13,59 @@ using namespace srp;
 
 void DominatorTree::recompute(Function &Fn) {
   F = &Fn;
-  PostOrder.clear();
   RPO.clear();
-  RPONum.clear();
-  IDom.clear();
-  Children.clear();
-  Frontier.clear();
-  DfsIn.clear();
-  DfsOut.clear();
+  Nodes.assign(Fn.blockNumberBound(), Node());
+  ChildList.clear();
+  FrontierList.clear();
 
-  computePostOrder();
+  computeRPO();
   computeIDoms();
   computeTreeNumbers();
   computeFrontiers();
 }
 
-void DominatorTree::computePostOrder() {
-  // Iterative DFS from the entry block.
-  std::unordered_map<const BasicBlock *, bool> Visited;
+void DominatorTree::computeRPO() {
+  // Iterative DFS from the entry block; a node's BB is set when the DFS
+  // first reaches it.
   struct Frame {
     BasicBlock *BB;
-    std::vector<BasicBlock *> Succs;
     unsigned Next = 0;
   };
   std::vector<Frame> Stack;
   BasicBlock *Entry = F->entry();
-  Visited[Entry] = true;
-  Stack.push_back({Entry, Entry->succs()});
+  Nodes[Entry->number()].BB = Entry;
+  Stack.push_back({Entry});
   while (!Stack.empty()) {
     Frame &Top = Stack.back();
-    if (Top.Next == Top.Succs.size()) {
-      PostOrder.push_back(Top.BB);
+    if (Top.Next == Top.BB->numSuccs()) {
+      RPO.push_back(Top.BB); // postorder, reversed below
       Stack.pop_back();
       continue;
     }
-    BasicBlock *S = Top.Succs[Top.Next++];
-    if (!Visited[S]) {
-      Visited[S] = true;
-      Stack.push_back({S, S->succs()});
+    BasicBlock *S = Top.BB->succ(Top.Next++);
+    Node &N = Nodes[S->number()];
+    if (!N.BB) {
+      N.BB = S;
+      Stack.push_back({S});
     }
   }
-  RPO.assign(PostOrder.rbegin(), PostOrder.rend());
+  std::reverse(RPO.begin(), RPO.end());
   for (unsigned I = 0, E = static_cast<unsigned>(RPO.size()); I != E; ++I)
-    RPONum[RPO[I]] = I;
+    Nodes[RPO[I]->number()].RPONum = I;
 }
 
 void DominatorTree::computeIDoms() {
-  // Cooper-Harvey-Kennedy: iterate intersect() over RPO until fixpoint.
+  // Cooper-Harvey-Kennedy: iterate intersect() over RPO until fixpoint. A
+  // reachable block's IDom stays null until its first visit.
   BasicBlock *Entry = F->entry();
-  IDom[Entry] = Entry; // temporarily self, fixed up below
+  Nodes[Entry->number()].IDom = Entry; // temporarily self, fixed up below
 
   auto Intersect = [&](BasicBlock *A, BasicBlock *B) {
     while (A != B) {
-      while (RPONum.at(A) > RPONum.at(B))
-        A = IDom.at(A);
-      while (RPONum.at(B) > RPONum.at(A))
-        B = IDom.at(B);
+      while (Nodes[A->number()].RPONum > Nodes[B->number()].RPONum)
+        A = Nodes[A->number()].IDom;
+      while (Nodes[B->number()].RPONum > Nodes[A->number()].RPONum)
+        B = Nodes[B->number()].IDom;
     }
     return A;
   };
@@ -81,29 +78,37 @@ void DominatorTree::computeIDoms() {
         continue;
       BasicBlock *NewIDom = nullptr;
       for (BasicBlock *P : BB->preds()) {
-        if (!RPONum.count(P) || !IDom.count(P))
+        const Node *PN = find(P);
+        if (!PN || !PN->IDom)
           continue; // unreachable or not yet processed
         NewIDom = NewIDom ? Intersect(NewIDom, P) : P;
       }
       assert(NewIDom && "reachable block with no processed predecessor");
-      auto It = IDom.find(BB);
-      if (It == IDom.end() || It->second != NewIDom) {
-        IDom[BB] = NewIDom;
+      Node &N = Nodes[BB->number()];
+      if (N.IDom != NewIDom) {
+        N.IDom = NewIDom;
         Changed = true;
       }
     }
   }
+  Nodes[Entry->number()].IDom = nullptr;
 
-  IDom[Entry] = nullptr;
-  for (auto &[BB, Dom] : IDom)
-    if (Dom)
-      Children[Dom].push_back(const_cast<BasicBlock *>(BB));
-  // Deterministic child order.
-  for (auto &[BB, Kids] : Children)
-    std::sort(Kids.begin(), Kids.end(),
-              [&](BasicBlock *A, BasicBlock *B) {
-                return RPONum.at(A) < RPONum.at(B);
-              });
+  // Children, laid out per parent in RPO order: count, then place each
+  // block (visited in RPO) into its parent's run.
+  for (BasicBlock *BB : RPO)
+    if (BasicBlock *D = Nodes[BB->number()].IDom)
+      ++Nodes[D->number()].ChildEnd;
+  unsigned Offset = 0;
+  for (BasicBlock *BB : RPO) {
+    Node &N = Nodes[BB->number()];
+    N.ChildBegin = Offset;
+    Offset += N.ChildEnd;
+    N.ChildEnd = N.ChildBegin;
+  }
+  ChildList.resize(Offset);
+  for (BasicBlock *BB : RPO)
+    if (BasicBlock *D = Nodes[BB->number()].IDom)
+      ChildList[Nodes[D->number()].ChildEnd++] = BB;
 }
 
 void DominatorTree::computeTreeNumbers() {
@@ -114,21 +119,18 @@ void DominatorTree::computeTreeNumbers() {
   };
   std::vector<Frame> Stack;
   BasicBlock *Entry = F->entry();
-  DfsIn[Entry] = Counter++;
+  Nodes[Entry->number()].DfsIn = Counter++;
   Stack.push_back({Entry});
-  static const std::vector<BasicBlock *> Empty;
   while (!Stack.empty()) {
     Frame &Top = Stack.back();
-    auto It = Children.find(Top.BB);
-    const std::vector<BasicBlock *> &Kids =
-        It == Children.end() ? Empty : It->second;
-    if (Top.NextChild == Kids.size()) {
-      DfsOut[Top.BB] = Counter++;
+    Node &N = Nodes[Top.BB->number()];
+    if (N.ChildBegin + Top.NextChild == N.ChildEnd) {
+      N.DfsOut = Counter++;
       Stack.pop_back();
       continue;
     }
-    BasicBlock *Child = Kids[Top.NextChild++];
-    DfsIn[Child] = Counter++;
+    BasicBlock *Child = ChildList[N.ChildBegin + Top.NextChild++];
+    Nodes[Child->number()].DfsIn = Counter++;
     Stack.push_back({Child});
   }
 }
@@ -138,6 +140,12 @@ void DominatorTree::computeFrontiers() {
   // those with two or more reachable predecessors — plus the entry block
   // when it has any predecessor at all (un-canonicalised CFGs may loop
   // back to the entry, making it part of its own frontier).
+  //
+  // Joins are visited in RPO, so each runner collects its frontier in RPO
+  // order; a join reached twice from one runner is recorded once. The
+  // (runner, join) pairs are then laid out per runner like the children.
+  std::vector<std::pair<BasicBlock *, BasicBlock *>> Pairs;
+  std::vector<BasicBlock *> LastJoin(Nodes.size(), nullptr);
   for (BasicBlock *BB : RPO) {
     unsigned ReachablePreds = 0;
     for (BasicBlock *P : BB->preds())
@@ -147,62 +155,46 @@ void DominatorTree::computeFrontiers() {
                   (BB == F->entry() && ReachablePreds >= 1);
     if (!IsJoin)
       continue;
+    BasicBlock *Stop = Nodes[BB->number()].IDom;
     for (BasicBlock *P : BB->preds()) {
       if (!contains(P))
         continue;
-      BasicBlock *Runner = P;
-      while (Runner && Runner != IDom.at(BB)) {
-        Frontier[Runner].push_back(BB);
-        Runner = IDom.at(Runner);
+      for (BasicBlock *Runner = P; Runner && Runner != Stop;
+           Runner = Nodes[Runner->number()].IDom) {
+        BasicBlock *&Last = LastJoin[Runner->number()];
+        if (Last == BB)
+          continue;
+        Last = BB;
+        Pairs.push_back({Runner, BB});
+        ++Nodes[Runner->number()].FrontierEnd;
       }
     }
   }
-  // Deduplicate while keeping deterministic order.
-  for (auto &[BB, DF] : Frontier) {
-    std::sort(DF.begin(), DF.end(), [&](BasicBlock *A, BasicBlock *B) {
-      return RPONum.at(A) < RPONum.at(B);
-    });
-    DF.erase(std::unique(DF.begin(), DF.end()), DF.end());
+  unsigned Offset = 0;
+  for (BasicBlock *BB : RPO) {
+    Node &N = Nodes[BB->number()];
+    N.FrontierBegin = Offset;
+    Offset += N.FrontierEnd;
+    N.FrontierEnd = N.FrontierBegin;
   }
+  FrontierList.resize(Offset);
+  for (const auto &[Runner, Join] : Pairs)
+    FrontierList[Nodes[Runner->number()].FrontierEnd++] = Join;
 }
 
-BasicBlock *DominatorTree::idom(const BasicBlock *BB) const {
-  auto It = IDom.find(BB);
-  assert(It != IDom.end() && "block not in dominator tree");
-  return It->second;
-}
-
-const std::vector<BasicBlock *> &
+std::span<BasicBlock *const>
 DominatorTree::children(const BasicBlock *BB) const {
-  static const std::vector<BasicBlock *> Empty;
-  auto It = Children.find(BB);
-  return It == Children.end() ? Empty : It->second;
-}
-
-bool DominatorTree::dominates(const BasicBlock *A,
-                              const BasicBlock *B) const {
-  assert(contains(A) && contains(B) && "block not in dominator tree");
-  return DfsIn.at(A) <= DfsIn.at(B) && DfsOut.at(B) <= DfsOut.at(A);
-}
-
-bool DominatorTree::strictlyDominates(const BasicBlock *A,
-                                      const BasicBlock *B) const {
-  return A != B && dominates(A, B);
-}
-
-bool DominatorTree::dominates(const Instruction *A,
-                              const Instruction *B) const {
-  const BasicBlock *ABB = A->parent(), *BBB = B->parent();
-  if (ABB == BBB)
-    return ABB->comesBefore(A, B);
-  return strictlyDominates(ABB, BBB);
+  const Node *N = find(BB);
+  if (!N)
+    return {};
+  return {ChildList.data() + N->ChildBegin, N->ChildEnd - N->ChildBegin};
 }
 
 BasicBlock *DominatorTree::commonDominator(BasicBlock *A,
                                            BasicBlock *B) const {
   assert(contains(A) && contains(B) && "block not in dominator tree");
   while (A != B) {
-    if (RPONum.at(A) > RPONum.at(B))
+    if (rpoNumber(A) > rpoNumber(B))
       A = idom(A);
     else
       B = idom(B);
@@ -210,48 +202,45 @@ BasicBlock *DominatorTree::commonDominator(BasicBlock *A,
   return A;
 }
 
-const std::vector<BasicBlock *> &
+std::span<BasicBlock *const>
 DominatorTree::frontier(const BasicBlock *BB) const {
-  static const std::vector<BasicBlock *> Empty;
-  auto It = Frontier.find(BB);
-  return It == Frontier.end() ? Empty : It->second;
+  const Node *N = find(BB);
+  if (!N)
+    return {};
+  return {FrontierList.data() + N->FrontierBegin,
+          N->FrontierEnd - N->FrontierBegin};
 }
 
 std::vector<BasicBlock *> DominatorTree::iteratedFrontier(
     const std::vector<BasicBlock *> &Defs) const {
-  std::vector<BasicBlock *> Result;
-  std::unordered_map<const BasicBlock *, bool> InResult;
-  std::vector<BasicBlock *> Work;
-  std::unordered_map<const BasicBlock *, bool> Queued;
+  // Work-set flags by block number: bit 0 queued, bit 1 in the result.
+  enum : uint8_t { Queued = 1, InResult = 2 };
+  std::vector<uint8_t> State(Nodes.size(), 0);
+  std::vector<BasicBlock *> Result, Work;
   for (BasicBlock *BB : Defs) {
-    if (!contains(BB) || Queued[BB])
+    if (!contains(BB) || (State[BB->number()] & Queued))
       continue;
-    Queued[BB] = true;
+    State[BB->number()] |= Queued;
     Work.push_back(BB);
   }
   while (!Work.empty()) {
     BasicBlock *BB = Work.back();
     Work.pop_back();
     for (BasicBlock *DF : frontier(BB)) {
-      if (InResult[DF])
+      uint8_t &S = State[DF->number()];
+      if (S & InResult)
         continue;
-      InResult[DF] = true;
+      S |= InResult;
       Result.push_back(DF);
-      if (!Queued[DF]) {
-        Queued[DF] = true;
+      if (!(S & Queued)) {
+        S |= Queued;
         Work.push_back(DF);
       }
     }
   }
   std::sort(Result.begin(), Result.end(),
             [&](BasicBlock *A, BasicBlock *B) {
-              return RPONum.at(A) < RPONum.at(B);
+              return rpoNumber(A) < rpoNumber(B);
             });
   return Result;
-}
-
-unsigned DominatorTree::rpoNumber(const BasicBlock *BB) const {
-  auto It = RPONum.find(BB);
-  assert(It != RPONum.end() && "block not reachable");
-  return It->second;
 }

@@ -15,7 +15,6 @@
 #include "ir/Printer.h"
 #include "support/Statistics.h"
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
 
 using namespace srp;
@@ -84,7 +83,7 @@ void checkCfgBlocks(CheckContext &C) {
 }
 
 void checkCfgTerminator(CheckContext &C) {
-  for (BasicBlock *BB : C.F.blocks()) {
+  for (auto &BB : C.F) {
     unsigned Terms = 0;
     for (auto &I : *BB) {
       if (I->isTerminator()) {
@@ -113,16 +112,14 @@ void checkCfgEntryPreds(CheckContext &C) {
 }
 
 void checkCfgSuccTargets(CheckContext &C) {
-  std::unordered_set<const BasicBlock *> InFunction;
-  for (BasicBlock *BB : C.F.blocks())
-    InFunction.insert(BB);
-  for (BasicBlock *BB : C.F.blocks()) {
+  for (auto &BB : C.F) {
     Instruction *T = BB->terminator();
     if (!T)
       continue; // cfg-terminator reports the missing terminator
-    std::vector<BasicBlock *> Succs = T->successors();
-    bool AnyNull =
-        std::find(Succs.begin(), Succs.end(), nullptr) != Succs.end();
+    const unsigned NumSuccs = T->numSuccessors();
+    bool AnyNull = false;
+    for (unsigned K = 0; K != NumSuccs; ++K)
+      AnyNull |= T->successor(K) == nullptr;
     // Printing a terminator with a null target would crash, so fall back
     // to a block-granular location in that case. Built only on failure:
     // printing the terminator of every block is most of this check's time.
@@ -132,8 +129,8 @@ void checkCfgSuccTargets(CheckContext &C) {
     if (AnyNull)
       C.DE.error("cfg-succ-targets", Loc(),
                  "terminator of block " + BB->name() + " targets a null block");
-    for (BasicBlock *S : Succs)
-      if (S && !InFunction.count(S))
+    for (unsigned K = 0; K != NumSuccs; ++K)
+      if (BasicBlock *S = T->successor(K); S && S->parent() != &C.F)
         C.DE.error("cfg-succ-targets", Loc(),
                    "terminator of block " + BB->name() + " targets block '" +
                        S->name() + "' which is not in the function",
@@ -141,21 +138,37 @@ void checkCfgSuccTargets(CheckContext &C) {
   }
 }
 
+/// Number of edges from \p From to \p To (a condbr may target a block
+/// twice).
+unsigned countEdges(const BasicBlock *From, const BasicBlock *To) {
+  unsigned N = 0;
+  for (unsigned K = 0, E = From->numSuccs(); K != E; ++K)
+    N += From->succ(K) == To;
+  return N;
+}
+
 void checkCfgPredConsistency(CheckContext &C) {
-  // succ -> pred consistency (multiset: an edge may appear twice if a
+  // succ -> pred consistency as a multiset: an edge may appear twice if a
   // condbr has identical targets, which canonicalisation removes but raw
-  // IR may contain).
-  std::unordered_map<const BasicBlock *, std::vector<BasicBlock *>>
-      ExpectedPreds;
-  for (BasicBlock *BB : C.F.blocks())
-    for (BasicBlock *S : BB->succs())
-      ExpectedPreds[S].push_back(BB);
-  for (BasicBlock *BB : C.F.blocks()) {
-    std::vector<BasicBlock *> Got = BB->preds();
-    std::vector<BasicBlock *> Want = ExpectedPreds[BB];
-    std::sort(Got.begin(), Got.end());
-    std::sort(Want.begin(), Want.end());
-    if (Got != Want)
+  // IR may contain. A block's pred list matches its incoming edges when it
+  // has one entry per edge, and every listed block of this function occurs
+  // exactly as often as it has edges into the block.
+  std::vector<unsigned> InEdges(C.F.blockNumberBound(), 0);
+  for (auto &BB : C.F)
+    for (unsigned K = 0, E = BB->numSuccs(); K != E; ++K)
+      if (BasicBlock *S = BB->succ(K); S && S->parent() == &C.F)
+        ++InEdges[S->number()];
+  for (auto &BB : C.F) {
+    const std::vector<BasicBlock *> &Preds = BB->preds();
+    bool Consistent = Preds.size() == InEdges[BB->number()];
+    for (size_t K = 0; Consistent && K != Preds.size(); ++K) {
+      BasicBlock *P = Preds[K];
+      Consistent = P && P->parent() == &C.F &&
+                   static_cast<unsigned>(std::count(
+                       Preds.begin(), Preds.end(), P)) ==
+                       countEdges(P, BB.get());
+    }
+    if (!Consistent)
       C.DE.error("cfg-pred-consistency", DiagLocation::of(*BB),
                  "pred list of " + BB->name() + " inconsistent with edges",
                  "route CFG surgery through the CFGEdit helpers");
@@ -167,7 +180,7 @@ void checkCfgPredConsistency(CheckContext &C) {
 //===----------------------------------------------------------------------===
 
 void checkSsaPhiGrouping(CheckContext &C) {
-  for (BasicBlock *BB : C.F.blocks()) {
+  for (auto &BB : C.F) {
     bool SeenNonPhi = false;
     for (auto &I : *BB) {
       bool IsPhi = isa<PhiInst>(I.get()) || isa<MemPhiInst>(I.get());
@@ -182,11 +195,13 @@ void checkSsaPhiGrouping(CheckContext &C) {
 }
 
 void checkSsaPhiIncoming(CheckContext &C) {
-  for (BasicBlock *BB : C.F.blocks()) {
-    std::vector<BasicBlock *> Preds = BB->preds();
-    std::sort(Preds.begin(), Preds.end());
+  // Both buffers are reused across blocks and phis; a block's sorted pred
+  // list is built on its first phi.
+  std::vector<BasicBlock *> Preds, Incoming;
+  for (auto &BB : C.F) {
+    bool PredsSorted = false;
     for (auto &I : *BB) {
-      std::vector<BasicBlock *> Incoming;
+      Incoming.clear();
       if (auto *P = dyn_cast<PhiInst>(I.get())) {
         for (unsigned Idx = 0; Idx != P->numIncoming(); ++Idx)
           Incoming.push_back(P->incomingBlock(Idx));
@@ -201,6 +216,11 @@ void checkSsaPhiIncoming(CheckContext &C) {
                      "memphi target def link broken in " + BB->name());
       } else {
         continue;
+      }
+      if (!PredsSorted) {
+        Preds.assign(BB->preds().begin(), BB->preds().end());
+        std::sort(Preds.begin(), Preds.end());
+        PredsSorted = true;
       }
       std::sort(Incoming.begin(), Incoming.end());
       if (Incoming != Preds)
@@ -252,7 +272,7 @@ void checkDominanceForOperand(CheckContext &C, const char *Id,
 }
 
 void checkSsaUseDominance(CheckContext &C) {
-  for (BasicBlock *BB : C.F.blocks())
+  for (auto &BB : C.F)
     for (auto &I : *BB) {
       bool IsPhi = isa<PhiInst>(I.get()) || isa<MemPhiInst>(I.get());
       for (unsigned Idx = 0; Idx != I->numOperands(); ++Idx)
@@ -263,7 +283,7 @@ void checkSsaUseDominance(CheckContext &C) {
 }
 
 void checkSsaUseLists(CheckContext &C) {
-  for (BasicBlock *BB : C.F.blocks())
+  for (auto &BB : C.F)
     for (auto &I : *BB)
       for (unsigned Idx = 0; Idx != I->numOperands(); ++Idx) {
         const auto &Uses = I->operand(Idx)->uses();
@@ -281,7 +301,7 @@ void checkSsaUseLists(CheckContext &C) {
 //===----------------------------------------------------------------------===
 
 void checkMemDefLinks(CheckContext &C) {
-  for (BasicBlock *BB : C.F.blocks())
+  for (auto &BB : C.F)
     for (auto &I : *BB)
       for (MemoryName *D : I->memDefs())
         if (D->def() != I.get())
@@ -290,7 +310,7 @@ void checkMemDefLinks(CheckContext &C) {
 }
 
 void checkMemUseDominance(CheckContext &C) {
-  for (BasicBlock *BB : C.F.blocks())
+  for (auto &BB : C.F)
     for (auto &I : *BB) {
       bool IsPhi = isa<PhiInst>(I.get()) || isa<MemPhiInst>(I.get());
       for (unsigned Idx = 0; Idx != I->numMemOperands(); ++Idx)
@@ -301,7 +321,7 @@ void checkMemUseDominance(CheckContext &C) {
 }
 
 void checkMemUseLists(CheckContext &C) {
-  for (BasicBlock *BB : C.F.blocks())
+  for (auto &BB : C.F)
     for (auto &I : *BB)
       for (unsigned Idx = 0; Idx != I->numMemOperands(); ++Idx) {
         const auto &Uses = I->memOperand(Idx)->uses();
@@ -314,7 +334,9 @@ void checkMemUseLists(CheckContext &C) {
 
 void checkMemNameLinks(CheckContext &C) {
   Function &F = C.F;
-  std::unordered_map<const MemoryObject *, unsigned> LiveEntryVersions;
+  // Live entry versions per object, indexed by object id.
+  std::vector<unsigned> LiveEntryVersions(F.parent()->numObjectIds(), 0);
+  std::vector<const MemoryObject *> Counted; // in first-count order
   for (const auto &N : F.memoryNames()) {
     if (N->isEntryVersion()) {
       bool Registered = F.entryMemoryName(N->object()) == N.get();
@@ -324,8 +346,9 @@ void checkMemNameLinks(CheckContext &C) {
                        " has uses but no defining instruction",
                    "define it through a store/chi or register it as the "
                    "entry version");
-      if (Registered || N->hasUses())
-        ++LiveEntryVersions[N->object()];
+      if ((Registered || N->hasUses()) &&
+          LiveEntryVersions[N->object()->id()]++ == 0)
+        Counted.push_back(N->object());
       continue;
     }
     Instruction *D = N->def();
@@ -345,8 +368,8 @@ void checkMemNameLinks(CheckContext &C) {
                  "memory version " + N->name() +
                      " defined by an instruction outside the function");
   }
-  for (const auto &[Obj, Count] : LiveEntryVersions)
-    if (Count > 1)
+  for (const MemoryObject *Obj : Counted)
+    if (unsigned Count = LiveEntryVersions[Obj->id()]; Count > 1)
       C.DE.error("mem-name-links", DiagLocation::inFunction(F.name()),
                  "object '" + Obj->name() + "' has " + std::to_string(Count) +
                      " live entry versions (expected at most one)");
@@ -360,35 +383,36 @@ void checkMemVersionConsistency(CheckContext &C) {
   Function &F = C.F;
   const DominatorTree &DT = *C.DT;
 
-  std::unordered_map<const MemoryObject *, std::vector<MemoryName *>> Stacks;
+  // The live version of each object, indexed by object id, and an undo
+  // log of the versions the walk shadowed; a frame restores the log down
+  // to its entry size when the walk leaves its block.
+  std::vector<MemoryName *> Live(F.parent()->numObjectIds(), nullptr);
+  std::vector<std::pair<unsigned, MemoryName *>> Shadowed;
+  auto Push = [&](const MemoryObject *O, MemoryName *N) {
+    Shadowed.push_back({O->id(), Live[O->id()]});
+    Live[O->id()] = N;
+  };
   for (const auto &N : F.memoryNames())
     if (N->isEntryVersion() && F.entryMemoryName(N->object()) == N.get())
-      Stacks[N->object()].push_back(N.get());
-
-  auto Top = [&](const MemoryObject *O) -> MemoryName * {
-    auto It = Stacks.find(O);
-    return (It == Stacks.end() || It->second.empty()) ? nullptr
-                                                      : It->second.back();
-  };
+      Live[N->object()->id()] = N.get();
 
   struct Frame {
     BasicBlock *BB;
     unsigned NextChild = 0;
-    std::vector<MemoryObject *> Pushed;
+    size_t LogSize = 0;
   };
 
   auto Enter = [&](Frame &Fr) {
     BasicBlock *BB = Fr.BB;
+    Fr.LogSize = Shadowed.size();
     for (auto &I : *BB) {
       if (auto *MP = dyn_cast<MemPhiInst>(I.get())) {
-        if (MemoryName *T = MP->target()) {
-          Stacks[MP->object()].push_back(T);
-          Fr.Pushed.push_back(MP->object());
-        }
+        if (MemoryName *T = MP->target())
+          Push(MP->object(), T);
         continue;
       }
       for (MemoryName *U : I->memOperands()) {
-        MemoryName *Cur = Top(U->object());
+        MemoryName *Cur = Live[U->object()->id()];
         if (Cur && U != Cur)
           C.DE.error("mem-version-consistency", DiagLocation::of(*I),
                      "memory use of " + U->name() +
@@ -397,13 +421,11 @@ void checkMemVersionConsistency(CheckContext &C) {
                      "rebuild memory SSA or route the transform through "
                      "the SSA updater");
       }
-      for (MemoryName *D : I->memDefs()) {
-        Stacks[D->object()].push_back(D);
-        Fr.Pushed.push_back(D->object());
-      }
+      for (MemoryName *D : I->memDefs())
+        Push(D->object(), D);
     }
-    for (BasicBlock *S : BB->succs()) {
-      for (auto &I : *S) {
+    for (unsigned K = 0, E = BB->numSuccs(); K != E; ++K) {
+      for (auto &I : *BB->succ(K)) {
         auto *MP = dyn_cast<MemPhiInst>(I.get());
         if (!MP)
           break; // memphis lead the block (ssa-phi-grouping)
@@ -411,7 +433,7 @@ void checkMemVersionConsistency(CheckContext &C) {
         if (Idx < 0)
           continue; // ssa-phi-incoming reports the missing edge
         MemoryName *In = MP->incomingName(static_cast<unsigned>(Idx));
-        MemoryName *Cur = Top(MP->object());
+        MemoryName *Cur = Live[MP->object()->id()];
         if (Cur && In != Cur)
           C.DE.error("mem-version-consistency", DiagLocation::of(*MP),
                      "memphi incoming from " + BB->name() + " is " +
@@ -424,27 +446,32 @@ void checkMemVersionConsistency(CheckContext &C) {
   };
 
   std::vector<Frame> Walk;
-  Walk.push_back({F.entry(), 0, {}});
+  Walk.push_back({F.entry()});
   Enter(Walk.back());
   while (!Walk.empty()) {
     Frame &TopFr = Walk.back();
-    const auto &Kids = DT.children(TopFr.BB);
+    const auto Kids = DT.children(TopFr.BB);
     if (TopFr.NextChild < Kids.size()) {
-      Walk.push_back({Kids[TopFr.NextChild++], 0, {}});
+      Walk.push_back({Kids[TopFr.NextChild++]});
       Enter(Walk.back());
       continue;
     }
-    for (MemoryObject *Obj : TopFr.Pushed)
-      Stacks[Obj].pop_back();
+    for (size_t K = Shadowed.size(); K != TopFr.LogSize; --K)
+      Live[Shadowed[K - 1].first] = Shadowed[K - 1].second;
+    Shadowed.resize(TopFr.LogSize);
     Walk.pop_back();
   }
 }
 
 void checkMemPhiPlacement(CheckContext &C) {
-  for (BasicBlock *BB : C.F.blocks()) {
-    if (!C.DT->contains(BB))
+  // Memory phis per object in the current block, indexed by object id; a
+  // count is stale unless its stamp is the block's number plus one.
+  std::vector<std::pair<unsigned, unsigned>> PerObject(
+      C.F.parent()->numObjectIds(), {0, 0});
+  for (auto &BB : C.F) {
+    if (!C.DT->contains(BB.get()))
       continue;
-    std::unordered_map<const MemoryObject *, unsigned> PerObject;
+    const unsigned Stamp = BB->number() + 1;
     for (auto &I : *BB) {
       auto *MP = dyn_cast<MemPhiInst>(I.get());
       if (!MP)
@@ -455,7 +482,12 @@ void checkMemPhiPlacement(CheckContext &C) {
                          std::to_string(BB->numPreds()) +
                          " predecessor(s); join placement expects >= 2",
                      "fold the phi into its single incoming version");
-      if (++PerObject[MP->object()] == 2)
+      auto &[Seen, Count] = PerObject[MP->object()->id()];
+      if (Seen != Stamp) {
+        Seen = Stamp;
+        Count = 0;
+      }
+      if (++Count == 2)
         C.DE.error("mem-phi-placement", DiagLocation::of(*MP),
                    "duplicate memory phi for '" + MP->object()->name() +
                        "' in block '" + BB->name() + "'");
@@ -496,16 +528,21 @@ struct AliasSetsMirror {
     return A;
   }
 
-  std::vector<const MemoryObject *> useObjects(const Instruction &I) const {
+  /// The objects \p I must carry mu-uses of: one of the sets above, or
+  /// \p Buf holding the one object (or none) the operation names.
+  const std::vector<const MemoryObject *> &
+  useObjects(const Instruction &I,
+             std::vector<const MemoryObject *> &Buf) const {
+    Buf.clear();
     switch (I.kind()) {
     case Value::Kind::Load:
-      return {static_cast<const LoadInst &>(I).object()};
+      return one(static_cast<const LoadInst &>(I).object(), Buf);
     case Value::Kind::DummyLoad:
-      return {static_cast<const DummyLoadInst &>(I).object()};
+      return one(static_cast<const DummyLoadInst &>(I).object(), Buf);
     case Value::Kind::ArrayLoad:
-      return {static_cast<const ArrayLoadInst &>(I).object()};
+      return one(static_cast<const ArrayLoadInst &>(I).object(), Buf);
     case Value::Kind::ArrayStore:
-      return {static_cast<const ArrayStoreInst &>(I).object()};
+      return one(static_cast<const ArrayStoreInst &>(I).object(), Buf);
     case Value::Kind::PtrLoad:
     case Value::Kind::PtrStore:
       return PointerAliases;
@@ -514,23 +551,33 @@ struct AliasSetsMirror {
     case Value::Kind::Ret:
       return EscapingAtReturn;
     default:
-      return {};
+      return Buf;
     }
   }
 
-  std::vector<const MemoryObject *> defObjects(const Instruction &I) const {
+  /// The objects \p I must carry chi-definitions of (as useObjects).
+  const std::vector<const MemoryObject *> &
+  defObjects(const Instruction &I,
+             std::vector<const MemoryObject *> &Buf) const {
+    Buf.clear();
     switch (I.kind()) {
     case Value::Kind::Store:
-      return {static_cast<const StoreInst &>(I).object()};
+      return one(static_cast<const StoreInst &>(I).object(), Buf);
     case Value::Kind::ArrayStore:
-      return {static_cast<const ArrayStoreInst &>(I).object()};
+      return one(static_cast<const ArrayStoreInst &>(I).object(), Buf);
     case Value::Kind::PtrStore:
       return PointerAliases;
     case Value::Kind::Call:
       return CallModRef;
     default:
-      return {};
+      return Buf;
     }
+  }
+
+  static const std::vector<const MemoryObject *> &
+  one(const MemoryObject *O, std::vector<const MemoryObject *> &Buf) {
+    Buf.push_back(O);
+    return Buf;
   }
 };
 
@@ -553,21 +600,24 @@ void checkMemAliasTagging(CheckContext &C) {
   auto ById = [](const MemoryObject *X, const MemoryObject *Y) {
     return X->id() < Y->id();
   };
-  for (BasicBlock *BB : C.F.blocks()) {
-    if (!C.DT->contains(BB))
+  // Reused across instructions.
+  std::vector<const MemoryObject *> GotUse, GotDef, UseBuf, DefBuf;
+  for (auto &BB : C.F) {
+    if (!C.DT->contains(BB.get()))
       continue; // unreachable blocks are never tagged by the builder
     for (auto &I : *BB) {
       if (isa<MemPhiInst>(I.get()))
         continue;
-      std::vector<const MemoryObject *> GotUse, GotDef;
+      GotUse.clear();
+      GotDef.clear();
       for (MemoryName *N : I->memOperands())
         GotUse.push_back(N->object());
       for (MemoryName *N : I->memDefs())
         GotDef.push_back(N->object());
       std::sort(GotUse.begin(), GotUse.end(), ById);
       std::sort(GotDef.begin(), GotDef.end(), ById);
-      std::vector<const MemoryObject *> WantUse = AI.useObjects(*I);
-      std::vector<const MemoryObject *> WantDef = AI.defObjects(*I);
+      const auto &WantUse = AI.useObjects(*I, UseBuf);
+      const auto &WantDef = AI.defObjects(*I, DefBuf);
       if (GotUse != WantUse)
         C.DE.error("mem-alias-tagging", DiagLocation::of(*I),
                    "mu-operands do not match the alias use set: expected " +
@@ -629,7 +679,7 @@ void checkCanonPreheaders(CheckContext &C) {
                    "header '" + H->name() +
                        "' does not have its preheader as the unique "
                        "outside predecessor");
-      else if (PH->succs().size() != 1)
+      else if (PH->numSuccs() != 1)
         C.DE.error("canon-preheaders", DiagLocation::of(*PH),
                    "preheader '" + PH->name() + "' of interval '" +
                        H->name() + "' has multiple successors");
@@ -638,14 +688,14 @@ void checkCanonPreheaders(CheckContext &C) {
 }
 
 void checkCanonCriticalEdges(CheckContext &C) {
-  for (BasicBlock *BB : C.F.blocks()) {
-    if (!C.DT->contains(BB))
+  for (auto &BB : C.F) {
+    if (!C.DT->contains(BB.get()))
       continue;
-    std::vector<BasicBlock *> Succs = BB->succs();
-    if (Succs.size() < 2)
+    const unsigned NumSuccs = BB->numSuccs();
+    if (NumSuccs < 2)
       continue;
-    for (BasicBlock *S : Succs)
-      if (S->numPreds() > 1)
+    for (unsigned K = 0; K != NumSuccs; ++K)
+      if (BasicBlock *S = BB->succ(K); S->numPreds() > 1)
         C.DE.error("canon-critical-edges", DiagLocation::of(*BB),
                    "critical edge '" + BB->name() + "' -> '" + S->name() +
                        "' after canonicalisation",
@@ -686,7 +736,7 @@ void checkPromoWebValues(CheckContext &C) {
                  std::string(Role) + " " + V->referenceString() +
                      " has void type");
   };
-  for (BasicBlock *BB : C.F.blocks())
+  for (auto &BB : C.F)
     for (auto &I : *BB) {
       if (auto *P = dyn_cast<PhiInst>(I.get())) {
         if (P->type() == Type::Void)
@@ -702,14 +752,14 @@ void checkPromoWebValues(CheckContext &C) {
 
 void checkPromoDummyScope(CheckContext &C) {
   IntervalTree &IT = C.AM->get<IntervalTree>(C.F);
-  std::unordered_set<const BasicBlock *> Preheaders;
+  std::vector<bool> IsPreheader(C.F.blockNumberBound(), false);
   for (Interval *Iv : IT.postorder())
     if (Iv->preheader())
-      Preheaders.insert(Iv->preheader());
-  for (BasicBlock *BB : C.F.blocks())
+      IsPreheader[Iv->preheader()->number()] = true;
+  for (auto &BB : C.F)
     for (auto &I : *BB) {
       auto *DL = dyn_cast<DummyLoadInst>(I.get());
-      if (DL && !Preheaders.count(BB))
+      if (DL && !IsPreheader[BB->number()])
         C.DE.error("promo-dummy-scope", DiagLocation::of(*DL),
                    "dummy load of '" + DL->object()->name() +
                        "' outside any interval preheader",

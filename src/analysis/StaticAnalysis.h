@@ -34,7 +34,7 @@
 ///
 /// Checks pull dominators/intervals from the AnalysisManager when one is
 /// provided (between-pass verification reuses the run's cache) and build
-/// a local dominator tree otherwise (standalone `verify()` calls).
+/// a local dominator tree otherwise (standalone runChecks calls).
 ///
 //===----------------------------------------------------------------------===//
 

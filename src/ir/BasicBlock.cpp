@@ -16,6 +16,7 @@ Instruction *BasicBlock::append(std::unique_ptr<Instruction> I) {
   Insts.push_back(std::move(I));
   Raw->Parent = this;
   Raw->SelfIt = std::prev(Insts.end());
+  Raw->OrderIndex = size() - 1; // keeps a valid order valid
   noteInsertOrRemove(Raw);
   return Raw;
 }
@@ -27,6 +28,7 @@ Instruction *BasicBlock::insertBefore(Instruction *Pos,
   auto It = Insts.insert(Pos->SelfIt, std::move(I));
   Raw->Parent = this;
   Raw->SelfIt = It;
+  OrderValid = false;
   noteInsertOrRemove(Raw);
   return Raw;
 }
@@ -38,6 +40,7 @@ Instruction *BasicBlock::insertAfter(Instruction *Pos,
   auto It = Insts.insert(std::next(Pos->SelfIt), std::move(I));
   Raw->Parent = this;
   Raw->SelfIt = It;
+  OrderValid = false;
   noteInsertOrRemove(Raw);
   return Raw;
 }
@@ -47,6 +50,7 @@ Instruction *BasicBlock::prepend(std::unique_ptr<Instruction> I) {
   Insts.push_front(std::move(I));
   Raw->Parent = this;
   Raw->SelfIt = Insts.begin();
+  OrderValid = false;
   noteInsertOrRemove(Raw);
   return Raw;
 }
@@ -69,6 +73,8 @@ Instruction *BasicBlock::insertAfterPhis(std::unique_ptr<Instruction> I) {
 std::unique_ptr<Instruction> BasicBlock::remove(Instruction *I) {
   assert(I && I->Parent == this && "instruction not in this block");
   std::unique_ptr<Instruction> Owned = std::move(*I->SelfIt);
+  if (std::next(I->SelfIt) != Insts.end())
+    OrderValid = false; // dropping the last instruction moves no index
   Insts.erase(I->SelfIt);
   I->Parent = nullptr;
   noteInsertOrRemove(I);
@@ -80,27 +86,14 @@ void BasicBlock::erase(Instruction *I) {
   remove(I); // unique_ptr destroys it
 }
 
-bool BasicBlock::comesBefore(const Instruction *A,
-                             const Instruction *B) const {
-  return indexOf(A) < indexOf(B);
-}
-
-unsigned BasicBlock::indexOf(const Instruction *I) const {
-  assert(I->parent() == this && "instruction not in this block");
-  if (!OrderValid) {
-    OrderSnapshot.clear();
-    OrderSnapshot.reserve(Insts.size());
-    for (const auto &Inst : Insts)
-      OrderSnapshot.push_back(Inst.get());
-    OrderValid = true;
-  }
-  auto It = std::find(OrderSnapshot.begin(), OrderSnapshot.end(), I);
-  assert(It != OrderSnapshot.end() && "stale ordering snapshot");
-  return static_cast<unsigned>(It - OrderSnapshot.begin());
+void BasicBlock::renumber() const {
+  unsigned N = 0;
+  for (const auto &Inst : Insts)
+    Inst->OrderIndex = N++;
+  OrderValid = true;
 }
 
 void BasicBlock::noteInsertOrRemove(const Instruction *I) {
-  OrderValid = false;
   if (!Parent || isa<MemPhiInst>(I))
     return;
   ++Parent->BodyEpoch;

@@ -28,19 +28,22 @@ class BasicBlock {
 
   std::string Name;
   Function *Parent = nullptr;
+  /// Dense per-function number, fixed when the parent creates the block.
+  unsigned Number = 0;
   std::list<std::unique_ptr<Instruction>> Insts;
   std::vector<BasicBlock *> Preds;
 
-  /// Lazy intra-block ordering cache: Order[i] is valid while OrderEpoch
-  /// matches the instruction's cached epoch. Rebuilt on demand after
-  /// insertions.
-  mutable std::vector<const Instruction *> OrderSnapshot;
-  mutable bool OrderValid = false;
+  /// True while every instruction's cached OrderIndex is its list position.
+  /// Appending and removing the last instruction keep it; other insertions
+  /// and removals clear it, and the next order query renumbers the block.
+  mutable bool OrderValid = true;
 
-  /// Bookkeeping for an insertion or removal of \p I: drops the ordering
-  /// cache and moves the parent's epochs.
+  /// Bookkeeping for an insertion or removal of \p I: moves the parent's
+  /// epochs.
   void noteInsertOrRemove(const Instruction *I);
   void noteCFGEdit();
+  /// Caches every instruction's list position and sets OrderValid.
+  void renumber() const;
 
 public:
   using iterator = std::list<std::unique_ptr<Instruction>>::iterator;
@@ -53,6 +56,10 @@ public:
   const std::string &name() const { return Name; }
   void setName(std::string N) { Name = std::move(N); }
   Function *parent() const { return Parent; }
+  /// Dense number within the parent function, below
+  /// Function::blockNumberBound(). Never reused, so it also tells blocks
+  /// created after an analysis was built from the ones it saw.
+  unsigned number() const { return Number; }
 
   iterator begin() { return Insts.begin(); }
   iterator end() { return Insts.end(); }
@@ -87,11 +94,18 @@ public:
   void erase(Instruction *I);
 
   /// Intra-block ordering: true if \p A appears strictly before \p B. Both
-  /// must belong to this block. Amortised O(1) via a lazily rebuilt
-  /// position snapshot.
-  bool comesBefore(const Instruction *A, const Instruction *B) const;
+  /// must belong to this block. O(1) between edits; the first query after
+  /// an insertion or removal renumbers the block.
+  bool comesBefore(const Instruction *A, const Instruction *B) const {
+    return indexOf(A) < indexOf(B);
+  }
   /// Index of \p I within this block (for ordering and diagnostics).
-  unsigned indexOf(const Instruction *I) const;
+  unsigned indexOf(const Instruction *I) const {
+    assert(I->parent() == this && "instruction not in this block");
+    if (!OrderValid)
+      renumber();
+    return I->OrderIndex;
+  }
 
   //===--------------------------------------------------------------------===
   // CFG.
@@ -102,16 +116,18 @@ public:
     Instruction *T = terminator();
     return T ? T->successors() : std::vector<BasicBlock *>();
   }
+  /// Allocation-free counterparts of succs().
+  unsigned numSuccs() const {
+    Instruction *T = terminator();
+    return T ? T->numSuccessors() : 0;
+  }
+  BasicBlock *succ(unsigned I) const { return terminator()->successor(I); }
   unsigned numPreds() const { return static_cast<unsigned>(Preds.size()); }
 
   /// Predecessor list maintenance; used by CFG edit utilities only.
   void addPred(BasicBlock *BB);
   void removePred(BasicBlock *BB);
   void replacePred(BasicBlock *Old, BasicBlock *New);
-
-  /// Recomputes phi/memphi incoming lists and Preds invariants after edge
-  /// edits is the caller's job; this only invalidates the ordering cache.
-  void invalidateOrder() { OrderValid = false; }
 };
 
 } // namespace srp

@@ -18,21 +18,23 @@ Function::~Function() {
 
 BasicBlock *Function::createBlock(std::string BBName) {
   if (BBName.empty())
-    BBName = "bb" + std::to_string(NextBlockNumber++);
+    BBName = "bb" + std::to_string(NextBlockName++);
   Blocks.push_back(std::make_unique<BasicBlock>(std::move(BBName)));
   Blocks.back()->Parent = this;
+  Blocks.back()->Number = BlockNumberBound++;
   ++CFGEpoch;
   return Blocks.back().get();
 }
 
 BasicBlock *Function::createBlockAfter(BasicBlock *After, std::string BBName) {
   if (BBName.empty())
-    BBName = "bb" + std::to_string(NextBlockNumber++);
+    BBName = "bb" + std::to_string(NextBlockName++);
   auto It = std::find_if(Blocks.begin(), Blocks.end(),
                          [&](const auto &B) { return B.get() == After; });
   assert(It != Blocks.end() && "block not in this function");
   auto New = std::make_unique<BasicBlock>(std::move(BBName));
   New->Parent = this;
+  New->Number = BlockNumberBound++;
   BasicBlock *Raw = New.get();
   Blocks.insert(std::next(It), std::move(New));
   ++CFGEpoch;

@@ -39,7 +39,8 @@ class Function {
   /// functions but memory SSA is per-function.
   std::unordered_map<const MemoryObject *, MemoryName *> EntryNames;
   unsigned NextValueNumber = 0;
-  unsigned NextBlockNumber = 0;
+  unsigned NextBlockName = 0;
+  unsigned BlockNumberBound = 0;
   uint64_t CFGEpoch = 0;
   uint64_t BodyEpoch = 0;
 
@@ -92,6 +93,10 @@ public:
   BasicBlock *createBlock(std::string BBName = "");
   /// Creates a block and inserts it immediately after \p After.
   BasicBlock *createBlockAfter(BasicBlock *After, std::string BBName = "");
+  /// One past the largest BasicBlock::number() handed out so far: the size
+  /// of a vector indexed by block number. Numbers of erased blocks are not
+  /// reused.
+  unsigned blockNumberBound() const { return BlockNumberBound; }
   /// Removes and destroys \p BB. The block must have no predecessors and its
   /// instructions no remaining uses.
   void eraseBlock(BasicBlock *BB);

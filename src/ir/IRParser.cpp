@@ -249,7 +249,10 @@ private:
       M->createGlobal(Name, Init);
   }
 
-  /// Parses the body between the current "func ... {" line and its "}".
+  /// Parses the body between the current "func ... {" line and its "}",
+  /// and leaves the cursor on that "}" (at the end of the input when it is
+  /// missing): a bad body reports its own error and nothing for the lines
+  /// after it.
   void parseFunctionBody() {
     // Re-lex the header to find the function (already declared).
     const unsigned HeaderLine = LineNo;
@@ -275,9 +278,17 @@ private:
       }
       if (I == Lines.size()) {
         error("missing '}' at end of function");
+        LineNo = I;
         return;
       }
     }
+    parseBlocks(HeaderLine, BodyStart, BodyEnd);
+    LineNo = BodyEnd;
+  }
+
+  /// The body lines [BodyStart, BodyEnd) of the function at HeaderLine.
+  void parseBlocks(unsigned HeaderLine, unsigned BodyStart, unsigned BodyEnd) {
+    const size_t ErrorsBefore = Errors.size();
     for (unsigned I = BodyStart; I < BodyEnd; ++I) {
       std::string L = stripped(Lines[I - 1]);
       if (std::optional<std::string> Label = blockLabel(L)) {
@@ -294,7 +305,6 @@ private:
     if (F->empty()) {
       LineNo = HeaderLine;
       error("function '" + F->name() + "' has no blocks");
-      LineNo = BodyEnd;
       return;
     }
 
@@ -312,7 +322,7 @@ private:
         return;
       }
       parseInstruction(L, Cur);
-      if (!Errors.empty())
+      if (Errors.size() != ErrorsBefore)
         return;
     }
     LineNo = BodyEnd;

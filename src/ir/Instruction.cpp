@@ -210,6 +210,32 @@ void Instruction::replaceSuccessor(BasicBlock *, BasicBlock *) {
   assert(false && "instruction has no successors");
 }
 
+std::vector<BasicBlock *> Instruction::successors() const {
+  std::vector<BasicBlock *> Succs(numSuccessors());
+  for (unsigned I = 0; I != Succs.size(); ++I)
+    Succs[I] = successor(I);
+  return Succs;
+}
+
+unsigned Instruction::numSuccessors() const {
+  switch (kind()) {
+  case Kind::Br:
+    return 1;
+  case Kind::CondBr:
+    return 2;
+  default:
+    return 0;
+  }
+}
+
+BasicBlock *Instruction::successor(unsigned I) const {
+  assert(I < numSuccessors() && "successor index out of range");
+  if (auto *B = dyn_cast<BrInst>(this))
+    return B->target();
+  auto *CB = cast<CondBrInst>(this);
+  return I == 0 ? CB->trueTarget() : CB->falseTarget();
+}
+
 void PhiInst::removeIncoming(unsigned I) {
   assert(I < Blocks.size() && "incoming index out of range");
   removeOperand(I);

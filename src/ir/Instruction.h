@@ -64,6 +64,9 @@ class Instruction : public Value {
   BasicBlock *Parent = nullptr;
   /// Position within the parent's instruction list; valid iff Parent != null.
   std::list<std::unique_ptr<Instruction>>::iterator SelfIt;
+  /// Index within the parent's instruction list; valid while the parent's
+  /// order cache is (BasicBlock::indexOf renumbers the block lazily).
+  unsigned OrderIndex = 0;
 
   std::vector<Value *> Ops;
   std::vector<MemoryName *> MemOps;
@@ -190,8 +193,11 @@ public:
   /// Unlinks from the parent block without destroying; returns ownership.
   std::unique_ptr<Instruction> removeFromParent();
 
-  /// Successor blocks (terminators only; empty otherwise).
-  virtual std::vector<BasicBlock *> successors() const { return {}; }
+  /// Successor blocks (terminators only; empty otherwise), and
+  /// allocation-free access to the same list: its length and entry \p I.
+  std::vector<BasicBlock *> successors() const;
+  unsigned numSuccessors() const;
+  BasicBlock *successor(unsigned I) const;
   virtual void replaceSuccessor(BasicBlock *Old, BasicBlock *New);
 };
 
@@ -430,7 +436,6 @@ public:
 
   BasicBlock *target() const { return Target; }
 
-  std::vector<BasicBlock *> successors() const override { return {Target}; }
   void replaceSuccessor(BasicBlock *Old, BasicBlock *New) override;
 
   static bool classof(const Value *V) { return V->kind() == Kind::Br; }
@@ -450,9 +455,6 @@ public:
   BasicBlock *trueTarget() const { return TrueBB; }
   BasicBlock *falseTarget() const { return FalseBB; }
 
-  std::vector<BasicBlock *> successors() const override {
-    return {TrueBB, FalseBB};
-  }
   void replaceSuccessor(BasicBlock *Old, BasicBlock *New) override;
 
   static bool classof(const Value *V) { return V->kind() == Kind::CondBr; }

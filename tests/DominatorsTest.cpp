@@ -135,6 +135,70 @@ TEST(DominatorsTest, InstructionDominanceWithinBlock) {
   EXPECT_FALSE(DT.dominates(I2, I1));
 }
 
+// The tree indexes its per-block data by BasicBlock::number(). A block it
+// never saw must read as absent even when its number is in range.
+TEST(DominatorsTest, BlocksOutsideTheBuildAreAbsent) {
+  Diamond D;
+  DominatorTree DT(*D.F);
+  // Another function's block with the same number as a reachable one.
+  Diamond Other;
+  ASSERT_EQ(Other.L->number(), D.L->number());
+  // A block created after the build, reachable by then.
+  BasicBlock *Late = D.F->createBlockAfter(D.L, "late");
+  D.L->back()->replaceSuccessor(D.Join, Late);
+  D.Join->replacePred(D.L, Late);
+  IRBuilder B(Late);
+  B.br(D.Join);
+  ASSERT_GE(Late->number(), D.Exit->number());
+
+  for (const BasicBlock *BB : {static_cast<BasicBlock *>(nullptr), Other.L,
+                               Other.Join, Late}) {
+    EXPECT_FALSE(DT.contains(BB));
+    EXPECT_TRUE(DT.children(BB).empty());
+    EXPECT_TRUE(DT.frontier(BB).empty());
+  }
+  EXPECT_TRUE(DT.contains(D.L));
+  EXPECT_EQ(DT.frontier(D.L).size(), 1u);
+  EXPECT_EQ(DT.children(D.Join).size(), 1u);
+  // The blocks it saw answer as at build time.
+  EXPECT_EQ(DT.iteratedFrontier({D.L, Late, Other.R}),
+            std::vector<BasicBlock *>{D.Join});
+}
+
+// comesBefore reads cached positions; every kind of edit must leave it
+// agreeing with the instruction list.
+TEST(DominatorsTest, ComesBeforeFollowsEdits) {
+  Module M;
+  Function *F = M.createFunction("f", Type::Void);
+  BasicBlock *BB = F->createBlock("entry");
+  IRBuilder B(BB);
+  Instruction *Mid = B.print(M.constant(1));
+  Instruction *Gone = B.print(M.constant(2));
+  B.print(M.constant(3));
+  B.ret();
+  auto ExpectListOrder = [&](const char *After) {
+    std::vector<Instruction *> List;
+    for (auto &I : *BB)
+      List.push_back(I.get());
+    for (unsigned I = 0; I != List.size(); ++I) {
+      EXPECT_EQ(BB->indexOf(List[I]), I) << After;
+      for (unsigned J = 0; J != List.size(); ++J)
+        EXPECT_EQ(BB->comesBefore(List[I], List[J]), I < J) << After;
+    }
+  };
+  ExpectListOrder("build");
+  BB->prepend(std::make_unique<PrintInst>(M.constant(4)));
+  ExpectListOrder("prepend");
+  BB->insertBefore(Mid, std::make_unique<PrintInst>(M.constant(5)));
+  ExpectListOrder("insertBefore");
+  BB->insertAfter(Mid, std::make_unique<PrintInst>(M.constant(6)));
+  ExpectListOrder("insertAfter");
+  BB->erase(Gone);
+  ExpectListOrder("erase");
+  BB->insertBeforeTerminator(std::make_unique<PrintInst>(M.constant(7)));
+  ExpectListOrder("insertBeforeTerminator");
+}
+
 TEST(DominatorsTest, RPOStartsAtEntryAndCoversAll) {
   Diamond D;
   DominatorTree DT(*D.F);

@@ -291,6 +291,76 @@ func void @f() {
   EXPECT_EQ(Errors[0], "line 5: function 'f' has no blocks");
 }
 
+// A body that fails used to leave the parser's cursor inside it, so the
+// top level went on to report its next line as "expected 'global' or
+// 'func'". Each bad body now reports its own error and nothing else.
+std::vector<std::string> parseErrors(const std::string &Source) {
+  std::vector<std::string> Errors;
+  EXPECT_EQ(parseIR(Source, Errors), nullptr);
+  return Errors;
+}
+
+TEST(IRParserTest, DuplicateLabelReportsOnlyItself) {
+  EXPECT_EQ(parseErrors(R"(func void @main() {
+entry:
+  br next
+next:
+  br next
+next:
+  ret
+}
+)"),
+            std::vector<std::string>{"line 6: duplicate block label 'next'"});
+}
+
+TEST(IRParserTest, InstructionBeforeLabelReportsOnlyItself) {
+  EXPECT_EQ(parseErrors(R"(func void @main() {
+  %x = 1
+entry:
+  ret
+}
+)"),
+            std::vector<std::string>{
+                "line 2: instruction before first block label"});
+}
+
+TEST(IRParserTest, UnknownInstructionReportsOnlyItself) {
+  EXPECT_EQ(parseErrors(R"(func void @main() {
+entry:
+  frob 1
+  ret
+}
+)"),
+            std::vector<std::string>{"line 3: unknown instruction 'frob'"});
+}
+
+TEST(IRParserTest, MissingBraceReportsOnlyItself) {
+  EXPECT_EQ(parseErrors(R"(func void @main() {
+entry:
+  ret
+)"),
+            std::vector<std::string>{
+                "line 1: missing '}' at end of function"});
+}
+
+TEST(IRParserTest, EachBadBodyReportsItsOwnError) {
+  EXPECT_EQ(parseErrors(R"(func void @f() {
+entry:
+  frob 1
+  ret
+}
+global g = 1
+func void @main() {
+a:
+  ret
+a:
+  ret
+}
+)"),
+            (std::vector<std::string>{"line 3: unknown instruction 'frob'",
+                                      "line 10: duplicate block label 'a'"}));
+}
+
 TEST(IRParserTest, CopiesAndNegativeConstants) {
   auto M = parseOrDie(R"(
 func int @main() {

@@ -139,7 +139,8 @@ TEST_P(RandomCFGTest, FrontiersSatisfyDefinition) {
       if (DomPred && !DT.strictlyDominates(X, Y))
         Expected.push_back(Y);
     }
-    std::vector<BasicBlock *> Got = DT.frontier(X);
+    std::vector<BasicBlock *> Got(DT.frontier(X).begin(),
+                                  DT.frontier(X).end());
     std::sort(Expected.begin(), Expected.end());
     std::sort(Got.begin(), Got.end());
     EXPECT_EQ(Got, Expected) << "seed " << GetParam() << " DF("

@@ -7,7 +7,7 @@
 #ifndef SRP_TESTS_TESTHELPERS_H
 #define SRP_TESTS_TESTHELPERS_H
 
-#include "analysis/Verifier.h"
+#include "analysis/StaticAnalysis.h"
 #include "frontend/Lowering.h"
 #include "frontend/Parser.h"
 #include "ir/Module.h"
@@ -29,21 +29,16 @@ inline std::unique_ptr<Module> compileOrDie(const std::string &Source) {
   return M;
 }
 
-/// Asserts the module verifies cleanly, dumping IR on failure.
-inline void expectValid(Module &M, const char *When = "") {
-  auto Errors = verify(M);
-  for (const auto &E : Errors)
-    ADD_FAILURE() << When << ": " << E;
-  if (!Errors.empty())
-    ADD_FAILURE() << "IR:\n" << toString(M);
-}
-
-inline void expectValid(Function &F, const char *When = "") {
-  auto Errors = verify(F);
-  for (const auto &E : Errors)
-    ADD_FAILURE() << When << ": " << E;
-  if (!Errors.empty())
-    ADD_FAILURE() << "IR:\n" << toString(F);
+/// Asserts \p IR (a Module or a Function) passes the Fast checks, dumping
+/// the IR on failure.
+template <class IRUnit> void expectValid(IRUnit &IR, const char *When = "") {
+  DiagnosticEngine DE;
+  runChecks(IR, DE, Strictness::Fast);
+  for (const Diagnostic &D : DE.diagnostics())
+    if (D.Severity == DiagSeverity::Error)
+      ADD_FAILURE() << When << ": " << D.Loc.Function << ": " << D.Message;
+  if (DE.hasErrors())
+    ADD_FAILURE() << "IR:\n" << toString(IR);
 }
 
 /// Shapes of deep Mini-C nesting, for the front end's nesting limit

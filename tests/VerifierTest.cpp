@@ -7,15 +7,14 @@
 /// \file
 /// Each test constructs one specific malformation and asserts the
 /// verifier reports it (the positive path is exercised everywhere else).
-/// The first half drives the legacy string API; the CheckId* half targets
-/// the structured framework directly, one deliberately broken module per
+/// The first half runs the Fast checks and looks for an error message;
+/// the CheckId* half asserts check IDs, one deliberately broken module per
 /// registered check ID.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/AnalysisManager.h"
 #include "analysis/StaticAnalysis.h"
-#include "analysis/Verifier.h"
 #include "ir/IRBuilder.h"
 #include "ir/Module.h"
 #include <gtest/gtest.h>
@@ -27,10 +26,17 @@ using namespace srp;
 
 namespace {
 
-bool anyErrorContains(const std::vector<std::string> &Errors,
-                      const char *Needle) {
-  for (const auto &E : Errors)
-    if (E.find(Needle) != std::string::npos)
+/// The diagnostics of a Fast-level check run.
+DiagnosticEngine checkAtFast(Function &F) {
+  DiagnosticEngine DE;
+  runChecks(F, DE, Strictness::Fast);
+  return DE;
+}
+
+bool anyErrorContains(const DiagnosticEngine &DE, const char *Needle) {
+  for (const Diagnostic &D : DE.diagnostics())
+    if (D.Severity == DiagSeverity::Error &&
+        D.Message.find(Needle) != std::string::npos)
       return true;
   return false;
 }
@@ -41,7 +47,7 @@ TEST(VerifierTest, MissingTerminator) {
   BasicBlock *BB = F->createBlock("entry");
   IRBuilder B(BB);
   B.add(M.constant(1), M.constant(2));
-  auto Errors = verify(*F);
+  auto Errors = checkAtFast(*F);
   EXPECT_TRUE(anyErrorContains(Errors, "terminator"));
 }
 
@@ -53,7 +59,7 @@ TEST(VerifierTest, TerminatorInTheMiddle) {
   B.ret();
   BB->append(std::make_unique<PrintInst>(M.constant(1)));
   BB->append(std::make_unique<RetInst>());
-  auto Errors = verify(*F);
+  auto Errors = checkAtFast(*F);
   EXPECT_TRUE(anyErrorContains(Errors, "terminator"));
 }
 
@@ -66,7 +72,7 @@ TEST(VerifierTest, EntryWithPredecessors) {
   B.br(Next);
   IRBuilder BN(Next);
   BN.br(Entry); // loops back to the entry
-  auto Errors = verify(*F);
+  auto Errors = checkAtFast(*F);
   EXPECT_TRUE(anyErrorContains(Errors, "entry block has predecessors"));
 }
 
@@ -80,7 +86,7 @@ TEST(VerifierTest, InconsistentPredList) {
   IRBuilder BB(B1);
   BB.ret();
   B1->removePred(A); // corrupt the cache
-  auto Errors = verify(*F);
+  auto Errors = checkAtFast(*F);
   EXPECT_TRUE(anyErrorContains(Errors, "pred list"));
 }
 
@@ -98,7 +104,7 @@ TEST(VerifierTest, PhiAfterNonPhi) {
   B1->append(std::move(Phi));
   BB.setInsertPoint(B1);
   BB.ret();
-  auto Errors = verify(*F);
+  auto Errors = checkAtFast(*F);
   EXPECT_TRUE(anyErrorContains(Errors, "phi after non-phi"));
 }
 
@@ -120,7 +126,7 @@ TEST(VerifierTest, PhiArityMismatch) {
   J->append(std::move(Phi));
   IRBuilder BJ(J);
   BJ.ret();
-  auto Errors = verify(*F);
+  auto Errors = checkAtFast(*F);
   EXPECT_TRUE(anyErrorContains(Errors, "incoming blocks mismatch"));
 }
 
@@ -138,7 +144,7 @@ TEST(VerifierTest, MemPhiWithoutTarget) {
   B1->prepend(std::move(MP));
   IRBuilder BB(B1);
   BB.ret();
-  auto Errors = verify(*F);
+  auto Errors = checkAtFast(*F);
   EXPECT_TRUE(anyErrorContains(Errors, "memphi without target"));
 }
 
@@ -162,7 +168,7 @@ TEST(VerifierTest, MemoryUseNotDominated) {
   MemoryName *V = F->createMemoryName(G);
   St->addMemDef(V);
   Ld->addMemOperand(V); // sibling arm: the def does not dominate the use
-  auto Errors = verify(*F);
+  auto Errors = checkAtFast(*F);
   EXPECT_TRUE(anyErrorContains(Errors, "not dominated"));
 }
 
@@ -173,9 +179,10 @@ TEST(VerifierTest, ModuleAggregatesFunctionErrors) {
   B.ret();
   Function *F2 = M.createFunction("bad", Type::Void);
   F2->createBlock("entry"); // empty block, no terminator
-  auto Errors = verify(M);
-  ASSERT_FALSE(Errors.empty());
-  EXPECT_TRUE(anyErrorContains(Errors, "bad"));
+  DiagnosticEngine Errors;
+  runChecks(M, Errors, Strictness::Fast);
+  ASSERT_TRUE(Errors.hasErrors());
+  EXPECT_EQ(Errors.diagnostics()[0].Loc.Function, "bad");
 }
 
 //===----------------------------------------------------------------------===
@@ -245,6 +252,27 @@ TEST(CheckIdTest, CfgSuccTargets) {
   EXPECT_EQ(D->Loc.InstIndex, 0);
   EXPECT_EQ(D->Loc.Snippet, "br entry");
 
+  // A foreign target whose block number is also one of this function's.
+  Function *F4 = M.createFunction("f4", Type::Void);
+  BasicBlock *E4 = F4->createBlock("e4");
+  BasicBlock *N4 = F4->createBlock("n4");
+  BasicBlock *Other = F2->createBlock("other");
+  ASSERT_EQ(Other->number(), N4->number());
+  IRBuilder B4(E4);
+  B4.print(M.constant(1));
+  B4.condBr(M.constant(1), N4, Other);
+  IRBuilder BN4(N4);
+  BN4.ret();
+  DiagnosticEngine DE4 = checkAtFull(*F4);
+  D = firstOf(DE4, "cfg-succ-targets");
+  ASSERT_NE(D, nullptr);
+  EXPECT_EQ(D->Message, "terminator of block e4 targets block 'other' "
+                        "which is not in the function");
+  EXPECT_EQ(D->Loc.Function, "f4");
+  EXPECT_EQ(D->Loc.Block, "e4");
+  EXPECT_EQ(D->Loc.InstIndex, 1);
+  EXPECT_EQ(D->Loc.Snippet, "condbr 1, n4, other");
+
   // A null target: printing the branch would crash, so the location is
   // the block.
   Function *F3 = M.createFunction("f3", Type::Void);
@@ -273,6 +301,51 @@ TEST(CheckIdTest, CfgPredConsistency) {
   BB.ret();
   B1->removePred(A);
   EXPECT_TRUE(checkAtFull(*F).has("cfg-pred-consistency"));
+}
+
+// The pred list is compared with the incoming edges as a multiset: a
+// condbr whose two targets are the same block is two edges.
+TEST(CheckIdTest, CfgPredConsistencyCountsEdges) {
+  Module M;
+  Function *F = M.createFunction("f", Type::Void);
+  BasicBlock *A = F->createBlock("a");
+  BasicBlock *J = F->createBlock("j");
+  IRBuilder B(A);
+  B.condBr(M.constant(1), J, J);
+  IRBuilder BJ(J);
+  BJ.ret();
+  ASSERT_EQ(J->numPreds(), 2u);
+  EXPECT_FALSE(checkAtFull(*F).has("cfg-pred-consistency"));
+
+  J->removePred(A); // one entry for two edges
+  DiagnosticEngine DE = checkAtFull(*F);
+  std::vector<const Diagnostic *> Found;
+  for (const Diagnostic &D : DE.diagnostics())
+    if (D.CheckID == "cfg-pred-consistency")
+      Found.push_back(&D);
+  ASSERT_EQ(Found.size(), 1u);
+  EXPECT_EQ(Found[0]->Loc.Function, "f");
+  EXPECT_EQ(Found[0]->Loc.Block, "j");
+  EXPECT_EQ(Found[0]->Message, "pred list of j inconsistent with edges");
+}
+
+TEST(CheckIdTest, CfgPredConsistencyForeignPred) {
+  Module M;
+  Function *F = M.createFunction("f", Type::Void);
+  Function *G = M.createFunction("g", Type::Void);
+  BasicBlock *A = F->createBlock("a");
+  BasicBlock *B1 = F->createBlock("b");
+  BasicBlock *Foreign = G->createBlock("x");
+  ASSERT_EQ(Foreign->number(), A->number());
+  IRBuilder B(A);
+  B.br(B1);
+  IRBuilder BB(B1);
+  BB.ret();
+  B1->replacePred(A, Foreign); // a pred from another function
+  DiagnosticEngine DE = checkAtFull(*F);
+  const Diagnostic *D = firstOf(DE, "cfg-pred-consistency");
+  ASSERT_NE(D, nullptr);
+  EXPECT_EQ(D->Loc.Block, "b");
 }
 
 TEST(CheckIdTest, SsaPhiGrouping) {
@@ -405,6 +478,38 @@ TEST(CheckIdTest, MemNameLinks) {
   MemoryName *V = F->createMemoryName(G);
   Ld->addMemOperand(V);
   EXPECT_TRUE(checkAtFull(*F).has("mem-name-links"));
+}
+
+// Objects with more than one live entry version are reported in the
+// order their names are first counted (the order no longer depends on
+// object addresses).
+TEST(CheckIdTest, MemNameLinksReportsObjectsInNameOrder) {
+  Module M;
+  MemoryObject *X = M.createGlobal("x", 0);
+  MemoryObject *Y = M.createGlobal("y", 0);
+  Function *F = M.createFunction("f", Type::Void);
+  BasicBlock *A = F->createBlock("a");
+  IRBuilder B(A);
+  LoadInst *LdX = B.load(X);
+  LoadInst *LdY = B.load(Y);
+  B.ret();
+  // Per object: the registered entry version, and a second entry-style
+  // version that a load uses. y's names come first.
+  for (auto [Obj, Ld] : {std::pair{Y, LdY}, std::pair{X, LdX}}) {
+    F->setEntryMemoryName(Obj, F->createMemoryName(Obj));
+    Ld->addMemOperand(F->createMemoryName(Obj));
+  }
+  DiagnosticEngine DE = checkAtFull(*F);
+  std::vector<std::string> Counted;
+  for (const Diagnostic &D : DE.diagnostics())
+    if (D.CheckID == "mem-name-links" &&
+        D.Message.find("live entry versions") != std::string::npos)
+      Counted.push_back(D.Message);
+  EXPECT_EQ(Counted,
+            (std::vector<std::string>{
+                "object 'y' has 2 live entry versions (expected at most one)",
+                "object 'x' has 2 live entry versions (expected at most "
+                "one)"}));
 }
 
 TEST(CheckIdTest, MemNameLinksUnlistedDef) {
