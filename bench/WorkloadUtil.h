@@ -5,9 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Shared plumbing for the table benchmarks: loads the Mini-C workloads
-/// from SRP_WORKLOAD_DIR and provides the paper's benchmark list plus the
-/// reported reference numbers for side-by-side printing.
+/// Shared plumbing for the bench drivers: the workload lists, loading
+/// from SRP_WORKLOAD_DIR, and the paper's improvement sign convention.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,7 +38,7 @@ inline const std::vector<Workload> &paperWorkloads() {
   return W;
 }
 
-/// Extra workloads used by the ablation benches.
+/// Extra workloads for the ablations and the matrix.
 inline const std::vector<Workload> &extraWorkloads() {
   static const std::vector<Workload> W = {
       {"eqntott", "eqntott.mc"},

@@ -27,14 +27,6 @@ SRP_HISTOGRAM(PassMicros, "pipeline", "pass-micros",
               "Wall time of one pass execution (us)");
 } // namespace
 
-void PassManager::addPass(std::string Name, PassFn Fn) {
-  addPass(std::move(Name),
-          ModulePassFn([Fn = std::move(Fn)](Module &M, AnalysisManager &,
-                                            std::vector<std::string> &Errors) {
-            return Fn(M, Errors);
-          }));
-}
-
 void PassManager::addPass(std::string Name, ModulePassFn Fn) {
   Passes.emplace_back(std::move(Name), std::move(Fn));
 }
@@ -59,11 +51,6 @@ std::vector<std::string> PassManager::passNames() const {
   for (const auto &[Name, Fn] : Passes)
     Names.push_back(Name);
   return Names;
-}
-
-bool PassManager::run(Module &M, std::vector<std::string> &Errors) {
-  AnalysisManager AM(&M);
-  return run(M, AM, Errors);
 }
 
 bool PassManager::run(Module &M, AnalysisManager &AM,

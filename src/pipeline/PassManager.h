@@ -92,13 +92,9 @@ struct VerifyRunStats {
 /// and error attribution.
 class PassManager {
 public:
-  /// Legacy pass body (no analysis manager): transforms \p M, appends
-  /// problems to \p Errors and returns false to abort the remaining
-  /// pipeline. Kept so pre-AnalysisManager passes and tests compile.
-  using PassFn = std::function<bool(Module &M, std::vector<std::string> &Errors)>;
-
-  /// A module pass: like PassFn but with access to the run's analysis
-  /// cache.
+  /// A module pass: transforms \p M (pulling analyses from \p AM),
+  /// appends problems to \p Errors and returns false to abort the
+  /// remaining pipeline.
   using ModulePassFn = std::function<bool(
       Module &M, AnalysisManager &AM, std::vector<std::string> &Errors)>;
 
@@ -112,21 +108,16 @@ public:
   /// Appends a pass. Names should be short lower-case stage names; they
   /// become the "name" fields of the timing report and the attribution
   /// prefix of verifier errors.
-  void addPass(std::string Name, PassFn Fn);
   void addPass(std::string Name, ModulePassFn Fn);
 
   /// Appends a pass that runs over every function of the module.
   void addFunctionPass(std::string Name, FunctionPassFn Fn);
 
-  /// Runs every registered pass in order over \p M. Stops at the first
-  /// pass that fails or breaks the verifier; errors are appended to
-  /// \p Errors prefixed with the offending pass's name. Returns true when
-  /// every pass ran cleanly. This overload serves legacy callers by
-  /// running against a fresh, run-local AnalysisManager.
-  bool run(Module &M, std::vector<std::string> &Errors);
-
-  /// Same, against the caller's AnalysisManager (the pipeline threads the
-  /// builder-owned manager through here).
+  /// Runs every registered pass in order over \p M against the caller's
+  /// AnalysisManager (the pipeline threads the builder-owned manager
+  /// through here). Stops at the first pass that fails or breaks the
+  /// verifier; errors are appended to \p Errors prefixed with the
+  /// offending pass's name. Returns true when every pass ran cleanly.
   bool run(Module &M, AnalysisManager &AM, std::vector<std::string> &Errors);
 
   /// Per-pass records, in registration order. Populated by run(); passes
@@ -144,8 +135,7 @@ public:
 private:
   PassManagerOptions Opts;
   VerifyRunStats VStats;
-  // Every form is stored as a ModulePassFn; the other addPass overloads
-  // wrap into it.
+  // Function passes are stored wrapped into a ModulePassFn.
   std::vector<std::pair<std::string, ModulePassFn>> Passes;
   std::vector<PassRecord> Records;
 };

@@ -102,19 +102,17 @@ PipelineResult PipelineBuilder::run(std::unique_ptr<Module> M) {
       "mem2reg", [](Function &F, AnalysisManager &AM,
                     std::vector<std::string> &) { promoteLocalsToSSA(F, AM); });
 
-  PM.addPass("canonicalise", PassManager::ModulePassFn(
-                                 [&](Module &Mod, AnalysisManager &AM,
-                                     std::vector<std::string> &) {
+  PM.addPass("canonicalise", [&](Module &Mod, AnalysisManager &AM,
+                                 std::vector<std::string> &) {
     for (const auto &F : Mod.functions())
       canonicalize(*F, AM);
     R.StaticBefore = countStaticMemOps(Mod);
     return true;
-  }));
+  });
 
   // -- Profile run ("before" measurement doubles as the profile input). --
-  PM.addPass("profile", PassManager::ModulePassFn(
-                            [&](Module &Mod, AnalysisManager &AM,
-                                std::vector<std::string> &Errors) {
+  PM.addPass("profile", [&](Module &Mod, AnalysisManager &AM,
+                            std::vector<std::string> &Errors) {
     Interpreter Interp(Mod, 200'000'000, Opts.Interp, &AM);
     Interp.setJitThreshold(Opts.JitThreshold);
     R.RunBefore = Interp.run(Opts.EntryFunction);
@@ -126,7 +124,7 @@ PipelineResult PipelineBuilder::run(std::unique_ptr<Module> M) {
     // re-derived it per function inside the promotion pass).
     AM.setExecution(R.RunBefore.BlockCounts);
     return true;
-  }));
+  });
 
   // -- Mode-specific transformation stages. ------------------------------
   bool NeedsMemorySSA = Opts.Mode == PromotionMode::Paper ||
@@ -228,9 +226,8 @@ PipelineResult PipelineBuilder::run(std::unique_ptr<Module> M) {
         });
 
   // -- Measurement back half. --------------------------------------------
-  PM.addPass("measure", PassManager::ModulePassFn(
-                            [&](Module &Mod, AnalysisManager &AM,
-                                std::vector<std::string> &Errors) {
+  PM.addPass("measure", [&](Module &Mod, AnalysisManager &AM,
+                            std::vector<std::string> &Errors) {
     R.StaticAfter = countStaticMemOps(Mod);
     // Shares the manager with the profile pass: functions the promotion
     // stage left untouched reuse their decoded bytecode (decode-cache-hits
@@ -252,7 +249,7 @@ PipelineResult PipelineBuilder::run(std::unique_ptr<Module> M) {
     if (R.RunBefore.FinalMemory != R.RunAfter.FinalMemory)
       Errors.push_back("final memory state changed across promotion");
     return Errors.empty();
-  }));
+  });
 
   if (Opts.MeasurePressure)
     PM.addFunctionPass(

@@ -85,7 +85,7 @@ struct PipelineResult {
   /// wall time). Feeds the `verification` section of --stats-json.
   VerifyRunStats Verify;
   /// End-to-end wall time of this run (compile + passes + measure runs).
-  /// Feeds the per-job `wall_seconds` of bench_workload_matrix.
+  /// Feeds the per-job `wall_seconds` of `bench_paper matrix`.
   double WallSeconds = 0;
 
   /// Per-job observability capture (CompileJob::WantRemarks/WantTrace).

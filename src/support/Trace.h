@@ -21,7 +21,7 @@
 /// Collection is off by default, and every recording site reduces to one
 /// relaxed atomic load and a branch — the zero-overhead guard the bench
 /// smoke comparison enforces. `trace::start()` enables collection
-/// (`srpc --trace-out=`, `bench_workload_matrix --trace-out=`, or the
+/// (`srpc --trace-out=`, `bench_paper matrix --trace-out=`, or the
 /// `SRP_TRACE=1` environment knob via `startIfEnvRequested()`).
 ///
 /// Timestamps are microseconds since `start()`. With

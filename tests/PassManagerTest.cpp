@@ -193,7 +193,8 @@ TEST(PassManagerTest, RunsPassesInRegistrationOrder) {
   PassManager PM;
   std::vector<std::string> Trace;
   for (const char *Name : {"alpha", "beta", "gamma"})
-    PM.addPass(Name, [&Trace, Name](Module &, std::vector<std::string> &) {
+    PM.addPass(Name, [&Trace, Name](Module &, AnalysisManager &,
+                                    std::vector<std::string> &) {
       Trace.push_back(Name);
       return true;
     });
@@ -202,7 +203,8 @@ TEST(PassManagerTest, RunsPassesInRegistrationOrder) {
             (std::vector<std::string>{"alpha", "beta", "gamma"}));
 
   std::vector<std::string> Errors;
-  EXPECT_TRUE(PM.run(*M, Errors));
+  AnalysisManager AM(M.get());
+  EXPECT_TRUE(PM.run(*M, AM, Errors));
   EXPECT_TRUE(Errors.empty());
   EXPECT_EQ(Trace, (std::vector<std::string>{"alpha", "beta", "gamma"}));
 
@@ -218,21 +220,25 @@ TEST(PassManagerTest, RunsPassesInRegistrationOrder) {
 TEST(PassManagerTest, AbortStopsRemainingPasses) {
   auto M = compileOrDie(SimpleProgram);
   PassManager PM;
-  PM.addPass("first", [](Module &, std::vector<std::string> &) {
-    return true;
-  });
-  PM.addPass("failing", [](Module &, std::vector<std::string> &Errors) {
+  PM.addPass("first",
+             [](Module &, AnalysisManager &, std::vector<std::string> &) {
+               return true;
+             });
+  PM.addPass("failing", [](Module &, AnalysisManager &,
+                           std::vector<std::string> &Errors) {
     Errors.push_back("injected failure");
     return false;
   });
   bool ThirdRan = false;
-  PM.addPass("third", [&](Module &, std::vector<std::string> &) {
-    ThirdRan = true;
-    return true;
-  });
+  PM.addPass("third",
+             [&](Module &, AnalysisManager &, std::vector<std::string> &) {
+               ThirdRan = true;
+               return true;
+             });
 
   std::vector<std::string> Errors;
-  EXPECT_FALSE(PM.run(*M, Errors));
+  AnalysisManager AM(M.get());
+  EXPECT_FALSE(PM.run(*M, AM, Errors));
   EXPECT_FALSE(ThirdRan);
   ASSERT_EQ(Errors.size(), 1u);
   EXPECT_EQ(Errors[0], "injected failure");
@@ -249,19 +255,22 @@ TEST(PassManagerTest, TimingIsPositiveAndMonotonic) {
   auto M = compileOrDie(SimpleProgram);
   PassManager PM;
   // Busy-wait so wall time is attributable regardless of scheduler jitter.
-  PM.addPass("spin", [](Module &, std::vector<std::string> &) {
-    double End = monotonicSeconds() + 0.005;
-    while (monotonicSeconds() < End)
-      ;
-    return true;
-  });
-  PM.addPass("instant", [](Module &, std::vector<std::string> &) {
-    return true;
-  });
+  PM.addPass("spin",
+             [](Module &, AnalysisManager &, std::vector<std::string> &) {
+               double End = monotonicSeconds() + 0.005;
+               while (monotonicSeconds() < End)
+                 ;
+               return true;
+             });
+  PM.addPass("instant",
+             [](Module &, AnalysisManager &, std::vector<std::string> &) {
+               return true;
+             });
 
+  AnalysisManager AM(M.get());
   double Before = monotonicSeconds();
   std::vector<std::string> Errors;
-  ASSERT_TRUE(PM.run(*M, Errors));
+  ASSERT_TRUE(PM.run(*M, AM, Errors));
   double Elapsed = monotonicSeconds() - Before;
 
   const auto &Recs = PM.records();
@@ -409,10 +418,12 @@ TEST(StatisticsTest, JsonEscapingHandlesSpecials) {
 TEST(PassManagerTest, VerifierErrorsAreAttributedToTheBreakingPass) {
   auto M = compileOrDie("void main() { print(42); }");
   PassManager PM;
-  PM.addPass("benign", [](Module &, std::vector<std::string> &) {
-    return true;
-  });
-  PM.addPass("breaker", [](Module &Mod, std::vector<std::string> &) {
+  PM.addPass("benign",
+             [](Module &, AnalysisManager &, std::vector<std::string> &) {
+               return true;
+             });
+  PM.addPass("breaker", [](Module &Mod, AnalysisManager &,
+                           std::vector<std::string> &) {
     // Drop main's terminator: structurally invalid IR the verifier flags.
     Function *F = Mod.getFunction("main");
     BasicBlock *Entry = F->entry();
@@ -420,13 +431,15 @@ TEST(PassManagerTest, VerifierErrorsAreAttributedToTheBreakingPass) {
     return true;
   });
   bool AfterRan = false;
-  PM.addPass("after", [&](Module &, std::vector<std::string> &) {
-    AfterRan = true;
-    return true;
-  });
+  PM.addPass("after",
+             [&](Module &, AnalysisManager &, std::vector<std::string> &) {
+               AfterRan = true;
+               return true;
+             });
 
   std::vector<std::string> Errors;
-  EXPECT_FALSE(PM.run(*M, Errors));
+  AnalysisManager AM(M.get());
+  EXPECT_FALSE(PM.run(*M, AM, Errors));
   EXPECT_FALSE(AfterRan);
   ASSERT_FALSE(Errors.empty());
   for (const std::string &E : Errors)
@@ -445,11 +458,13 @@ TEST(PassManagerTest, VerificationCanBeDisabled) {
   PassManagerOptions Opts;
   Opts.VerifyEachPass = false;
   PassManager PM(Opts);
-  PM.addPass("noop", [](Module &, std::vector<std::string> &) {
-    return true;
-  });
+  PM.addPass("noop",
+             [](Module &, AnalysisManager &, std::vector<std::string> &) {
+               return true;
+             });
   std::vector<std::string> Errors;
-  EXPECT_TRUE(PM.run(*M, Errors));
+  AnalysisManager AM(M.get());
+  EXPECT_TRUE(PM.run(*M, AM, Errors));
   EXPECT_FALSE(PM.records()[0].Verified);
 }
 

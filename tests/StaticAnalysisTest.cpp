@@ -195,25 +195,23 @@ std::vector<std::string> runMutation(const char *Src, const char *PassName,
   PMO.VerifyStrictness = Strictness::Full;
   PassManager PM(PMO);
 
-  PM.addPass("setup", PassManager::ModulePassFn(
-                          [&](Module &Mod, AnalysisManager &AM,
-                              std::vector<std::string> &) {
-                            for (const auto &F : Mod.functions()) {
-                              if (F->empty())
-                                continue;
-                              if (Canonical)
-                                canonicalize(*F, AM);
-                              if (MemSSA)
-                                AM.get<MemorySSAInfo>(*F);
-                            }
-                            return true;
-                          }));
-  PM.addPass(PassName, PassManager::ModulePassFn(
-                           [&](Module &Mod, AnalysisManager &AM,
-                               std::vector<std::string> &) {
-                             Mutate(Mod, AM);
-                             return true;
-                           }));
+  PM.addPass("setup", [&](Module &Mod, AnalysisManager &AM,
+                          std::vector<std::string> &) {
+    for (const auto &F : Mod.functions()) {
+      if (F->empty())
+        continue;
+      if (Canonical)
+        canonicalize(*F, AM);
+      if (MemSSA)
+        AM.get<MemorySSAInfo>(*F);
+    }
+    return true;
+  });
+  PM.addPass(PassName, [&](Module &Mod, AnalysisManager &AM,
+                           std::vector<std::string> &) {
+    Mutate(Mod, AM);
+    return true;
+  });
 
   std::vector<std::string> Errors;
   EXPECT_FALSE(PM.run(*M, AM, Errors));

@@ -314,26 +314,24 @@ bool runSemanticSteps(const char *Src, bool Mem2Reg,
   PMO.VerifyStrictness = Strictness::Semantic;
   PassManager PM(PMO);
 
-  PM.addPass("setup", PassManager::ModulePassFn(
-                          [&](Module &Mod, AnalysisManager &AM,
-                              std::vector<std::string> &) {
-                            for (const auto &F : Mod.functions()) {
-                              if (F->empty())
-                                continue;
-                              if (Mem2Reg)
-                                promoteLocalsToSSA(*F, AM);
-                              canonicalize(*F, AM);
-                              AM.get<MemorySSAInfo>(*F);
-                            }
-                            return true;
-                          }));
+  PM.addPass("setup", [&](Module &Mod, AnalysisManager &AM,
+                          std::vector<std::string> &) {
+    for (const auto &F : Mod.functions()) {
+      if (F->empty())
+        continue;
+      if (Mem2Reg)
+        promoteLocalsToSSA(*F, AM);
+      canonicalize(*F, AM);
+      AM.get<MemorySSAInfo>(*F);
+    }
+    return true;
+  });
   for (const auto &[Name, Fn] : Steps)
-    PM.addPass(Name, PassManager::ModulePassFn(
-                         [&Fn = Fn](Module &Mod, AnalysisManager &AM,
-                                    std::vector<std::string> &) {
-                           Fn(Mod, AM);
-                           return true;
-                         }));
+    PM.addPass(Name, [&Fn = Fn](Module &Mod, AnalysisManager &AM,
+                                std::vector<std::string> &) {
+      Fn(Mod, AM);
+      return true;
+    });
 
   const bool Ok = PM.run(*M, AM, Errors);
   EXPECT_FALSE(anyContains(Errors, "after pass 'setup'"));
