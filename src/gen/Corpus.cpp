@@ -217,19 +217,25 @@ void appendJobs(std::vector<CompileJob> &Jobs, const SourceText &Source,
   Base.VerifyEachStep = O.VerifyEachStep;
   Base.VerifyStrictness = appliedStrictness(O);
   Base.MeasurePressure = false; // coloring is dead weight for the oracle
+  auto push = [&](std::string Name, const PipelineOptions &PO) {
+    CompileJob Job;
+    Job.Name = std::move(Name);
+    Job.Source = Source;
+    Job.Opts = PO;
+    Jobs.push_back(std::move(Job));
+  };
   for (PromotionMode M : allPromotionModes()) {
     PipelineOptions PO = Base;
     PO.Mode = M;
     PO.Interp = InterpEngine::Bytecode;
-    Jobs.push_back({Label + "/" + promotionModeName(M), Source, PO});
+    push(Label + "/" + promotionModeName(M), PO);
   }
   if (O.EngineParity)
     for (PromotionMode M : {PromotionMode::None, PromotionMode::Paper}) {
       PipelineOptions PO = Base;
       PO.Mode = M;
       PO.Interp = InterpEngine::Walk;
-      Jobs.push_back(
-          {Label + "/" + promotionModeName(M) + "@walk", Source, PO});
+      push(Label + "/" + promotionModeName(M) + "@walk", PO);
     }
   if (O.NativeParity)
     for (PromotionMode M : {PromotionMode::None, PromotionMode::Paper}) {
@@ -237,8 +243,7 @@ void appendJobs(std::vector<CompileJob> &Jobs, const SourceText &Source,
       PO.Mode = M;
       PO.Interp = InterpEngine::Native;
       PO.JitThreshold = 1; // force the JIT path, no warm-up calls
-      Jobs.push_back(
-          {Label + "/" + promotionModeName(M) + "@native", Source, PO});
+      push(Label + "/" + promotionModeName(M) + "@native", PO);
     }
 }
 

@@ -83,8 +83,8 @@ MemoryObject *Function::createLocal(std::string LocalName,
 }
 
 MemoryName *Function::createMemoryName(MemoryObject *Obj) {
-  MemNames.push_back(
-      std::make_unique<MemoryName>(Obj, Obj->takeVersionNumber()));
+  MemNames.push_back(std::make_unique<MemoryName>(
+      Obj, Obj->takeVersionNumber(), MemoryNameBound++));
   return MemNames.back().get();
 }
 

@@ -17,7 +17,6 @@
 #include "ir/BasicBlock.h"
 #include <list>
 #include <memory>
-#include <unordered_map>
 
 namespace srp {
 
@@ -34,13 +33,15 @@ class Function {
   std::list<std::unique_ptr<BasicBlock>> Blocks;
   std::vector<std::unique_ptr<MemoryObject>> Locals;
   std::vector<std::unique_ptr<MemoryName>> MemNames;
-  /// Live-in SSA version of each memory object at function entry. Kept on
-  /// the Function (not the MemoryObject) because globals are shared across
-  /// functions but memory SSA is per-function.
-  std::unordered_map<const MemoryObject *, MemoryName *> EntryNames;
+  /// Live-in SSA version of each memory object at function entry, indexed
+  /// by MemoryObject::id(). Kept on the Function (not the MemoryObject)
+  /// because globals are shared across functions but memory SSA is
+  /// per-function.
+  std::vector<MemoryName *> EntryNames;
   unsigned NextValueNumber = 0;
   unsigned NextBlockName = 0;
   unsigned BlockNumberBound = 0;
+  unsigned MemoryNameBound = 0;
   uint64_t CFGEpoch = 0;
   uint64_t BodyEpoch = 0;
 
@@ -118,15 +119,20 @@ public:
 
   /// Creates a fresh SSA version of \p Obj, owned by this function.
   MemoryName *createMemoryName(MemoryObject *Obj);
+  /// One past the largest MemoryName::number() handed out so far: the size
+  /// of a vector indexed by name number. Numbers of destroyed names are not
+  /// reused, not even after clearMemorySSA().
+  unsigned memoryNameBound() const { return MemoryNameBound; }
 
   /// The live-in version of \p Obj at function entry (null before memory
   /// SSA construction).
   MemoryName *entryMemoryName(const MemoryObject *Obj) const {
-    auto It = EntryNames.find(Obj);
-    return It == EntryNames.end() ? nullptr : It->second;
+    return Obj->id() < EntryNames.size() ? EntryNames[Obj->id()] : nullptr;
   }
   void setEntryMemoryName(const MemoryObject *Obj, MemoryName *N) {
-    EntryNames[Obj] = N;
+    if (Obj->id() >= EntryNames.size())
+      EntryNames.resize(Obj->id() + 1, nullptr);
+    EntryNames[Obj->id()] = N;
   }
   const std::vector<std::unique_ptr<MemoryName>> &memoryNames() const {
     return MemNames;

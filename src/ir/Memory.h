@@ -87,15 +87,20 @@ class MemoryName : public Value {
   MemoryObject *Obj;
   Instruction *Def; ///< Defining instruction; null for the entry version.
   unsigned Version;
+  unsigned Number;
 
 public:
-  MemoryName(MemoryObject *Obj, unsigned Version)
+  MemoryName(MemoryObject *Obj, unsigned Version, unsigned Number)
       : Value(Kind::MemoryName, Type::Void,
               Obj->name() + "." + std::to_string(Version)),
-        Obj(Obj), Def(nullptr), Version(Version) {}
+        Obj(Obj), Def(nullptr), Version(Version), Number(Number) {}
 
   MemoryObject *object() const { return Obj; }
   unsigned version() const { return Version; }
+  /// Dense per-function number, below Function::memoryNameBound(); an index
+  /// into vectors over the function's names. Never reused within the
+  /// function, so a table sized before a name was created does not cover it.
+  unsigned number() const { return Number; }
 
   Instruction *def() const { return Def; }
   void setDef(Instruction *I) { Def = I; }

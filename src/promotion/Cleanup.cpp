@@ -8,7 +8,7 @@
 #include "ir/Function.h"
 #include "support/Remarks.h"
 #include "support/Statistics.h"
-#include <unordered_set>
+#include <cstdint>
 
 using namespace srp;
 
@@ -104,11 +104,14 @@ unsigned srp::removeDeadMemPhis(Function &F) {
       if (auto *MP = dyn_cast<MemPhiInst>(I.get()))
         Phis.push_back(MP);
 
-  std::unordered_set<const MemoryName *> Live;
+  // Liveness by MemoryName::number().
+  std::vector<uint8_t> Live(F.memoryNameBound(), 0);
   std::vector<const MemoryName *> Work;
   auto markLive = [&](const MemoryName *V) {
-    if (Live.insert(V).second)
+    if (!Live[V->number()]) {
+      Live[V->number()] = 1;
       Work.push_back(V);
+    }
   };
   for (MemPhiInst *MP : Phis) {
     if (!MP->target())
@@ -128,7 +131,7 @@ unsigned srp::removeDeadMemPhis(Function &F) {
 
   unsigned N = 0;
   for (MemPhiInst *MP : Phis) {
-    if (!MP->target() || !Live.count(MP->target())) {
+    if (!MP->target() || !Live[MP->target()->number()]) {
       MP->eraseFromParent();
       ++N;
     }

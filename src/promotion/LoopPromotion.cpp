@@ -56,10 +56,7 @@ bool hasAmbiguousRef(const Interval &Iv, const MemoryObject *Obj,
     for (auto &I : *BB) {
       if (isa<LoadInst>(I.get()) || isa<StoreInst>(I.get()))
         continue;
-      auto Uses = AI.useObjects(*I);
-      auto Defs = AI.defObjects(*I);
-      if (std::find(Uses.begin(), Uses.end(), Obj) != Uses.end() ||
-          std::find(Defs.begin(), Defs.end(), Obj) != Defs.end())
+      if (AI.useObjects(*I).contains(Obj) || AI.defObjects(*I).contains(Obj))
         return true;
     }
   }

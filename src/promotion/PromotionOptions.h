@@ -74,6 +74,7 @@ struct PromotionStats {
     RegisterPhisCreated += R.RegisterPhisCreated;
     return *this;
   }
+  bool operator==(const PromotionStats &) const = default;
 };
 
 } // namespace srp

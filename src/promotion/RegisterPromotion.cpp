@@ -53,8 +53,9 @@ PromotionStats srp::promoteRegisters(Function &F, const DominatorTree &DT,
                           Iv->depth())
               .arg("webs", Webs.size())
               .arg("blocks", Iv->blocks().size()));
-    for (auto &W : Webs)
-      Stats += promoteInWeb(*W, F, DT, PI, Opts);
+    PreheaderVersions PV;
+    for (SSAWeb &W : Webs)
+      Stats += promoteInWeb(W, F, DT, PI, Opts, PV);
   }
 
   cleanupAfterPromotion(F);

@@ -19,7 +19,7 @@
 
 #include "promotion/PromotionOptions.h"
 #include <memory>
-#include <unordered_set>
+#include <span>
 #include <vector>
 
 namespace srp {
@@ -34,8 +34,12 @@ class MemPhiInst;
 class StoreInst;
 
 /// One SSA web: reference sets of an equivalence class of memory names
-/// within an interval.
+/// within an interval. The lists view storage shared by the webs of one
+/// interval, each web's part in program order.
 struct SSAWeb {
+  /// The interval's name table and the webs' lists (defined in SSAWeb.cpp).
+  struct Storage;
+
   MemoryObject *Obj = nullptr;
   const Interval *Iv = nullptr;
   /// Position in construction order within the interval; with the object
@@ -43,11 +47,9 @@ struct SSAWeb {
   unsigned Id = 0;
 
   /// webResources: the names of the equivalence class.
-  std::vector<MemoryName *> Resources;
-  std::unordered_set<const MemoryName *> ResourceSet;
-
+  std::span<MemoryName *const> Resources;
   /// Names of the web defined inside the interval (stores, chi, phis).
-  std::vector<MemoryName *> DefResources;
+  std::span<MemoryName *const> DefResources;
   /// The unique resource defined in an ancestor interval, if any. Webs with
   /// several live-ins (possible only for improper intervals) are not
   /// promoted.
@@ -55,17 +57,24 @@ struct SSAWeb {
   unsigned NumLiveIns = 0;
 
   /// Singleton loads/stores of the web in the interval.
-  std::vector<LoadInst *> LoadRefs;
-  std::vector<StoreInst *> StoreRefs;
+  std::span<LoadInst *const> LoadRefs;
+  std::span<StoreInst *const> StoreRefs;
   /// Aliased references: (instruction, the web version it uses/defines).
   /// Aliased loads are calls, pointer loads, dummy loads, and returns;
   /// aliased stores are calls and pointer stores.
-  std::vector<std::pair<Instruction *, MemoryName *>> AliasedLoadRefs;
-  std::vector<std::pair<Instruction *, MemoryName *>> AliasedStoreRefs;
+  std::span<const std::pair<Instruction *, MemoryName *>> AliasedLoadRefs;
+  std::span<const std::pair<Instruction *, MemoryName *>> AliasedStoreRefs;
   /// Memory phis of the web inside the interval.
-  std::vector<MemPhiInst *> Phis;
+  std::span<MemPhiInst *const> Phis;
 
-  bool contains(const MemoryName *N) const { return ResourceSet.count(N); }
+  /// Keeps the lists above and the interval's name table alive.
+  std::shared_ptr<const Storage> Shared;
+
+  /// True if \p N is one of Resources. Answered from N's number through the
+  /// interval's name table, which covers the numbers below the function's
+  /// memoryNameBound() at construction: false for a name created after
+  /// construction and for a name of another function.
+  bool contains(const MemoryName *N) const;
 
   bool hasAnyReference() const {
     return !LoadRefs.empty() || !StoreRefs.empty() ||
@@ -83,10 +92,11 @@ struct SSAWeb {
 
 /// constructSSAWebs (paper Fig. 3): partitions the memory names referenced
 /// in \p Iv into webs and gathers their reference sets. Only webs of
-/// promotable objects are returned. With \p Opts.WebGranularity off, all
-/// names of one object in the interval fall into a single web (ablation).
-std::vector<std::unique_ptr<SSAWeb>>
-constructSSAWebs(const Interval &Iv, const PromotionOptions &Opts);
+/// promotable objects are returned, in the program order of their first
+/// name. With \p Opts.WebGranularity off, all names of one object in the
+/// interval fall into a single web (ablation).
+std::vector<SSAWeb> constructSSAWebs(const Interval &Iv,
+                                     const PromotionOptions &Opts);
 
 } // namespace srp
 

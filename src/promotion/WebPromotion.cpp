@@ -190,6 +190,7 @@ class WebPromoter {
   Function &F;
   const DominatorTree &DT;
   const PromotionOptions &Opts;
+  PreheaderVersions &PV;
   PromotionStats Stats;
 
   /// vrMap: memory version -> virtual register holding its value.
@@ -200,8 +201,8 @@ class WebPromoter {
 
 public:
   WebPromoter(SSAWeb &W, Function &F, const DominatorTree &DT,
-              const PromotionOptions &Opts)
-      : W(W), F(F), DT(DT), Opts(Opts) {}
+              const PromotionOptions &Opts, PreheaderVersions &PV)
+      : W(W), F(F), DT(DT), Opts(Opts), PV(PV) {}
 
   PromotionStats takeStats() { return Stats; }
 
@@ -350,15 +351,15 @@ public:
     // deletes the original stores (deleteStores of Fig. 4) and any phis
     // that died with them.
     unsigned StoresBefore = countObjectStoresInInterval();
-    std::vector<MemoryName *> OldRes = W.Resources;
+    std::vector<MemoryName *> OldRes(W.Resources.begin(), W.Resources.end());
     updateSSAForClonedResources(F, DT, OldRes, Cloned);
     unsigned StoresAfter = countObjectStoresInInterval();
     Stats.StoresDeleted +=
         StoresBefore > StoresAfter ? StoresBefore - StoresAfter : 0;
     // The update may have destroyed original stores and phis; drop the now
     // dangling reference lists (promotion of this web is complete).
-    W.StoreRefs.clear();
-    W.Phis.clear();
+    W.StoreRefs = {};
+    W.Phis = {};
   }
 
   unsigned countObjectStoresInInterval() const {
@@ -378,7 +379,9 @@ public:
     BasicBlock *PH = W.Iv->preheader();
     if (!PH || W.Iv->isRoot())
       return; // the root has no parent to summarise for
-    MemoryName *Mu = reachingVersionAtEnd(F, DT, W.Obj, PH);
+    MemoryName *&Mu = PV.at(*W.Obj);
+    if (!Mu)
+      Mu = reachingVersionAtEnd(F, DT, W.Obj, PH);
     auto Dummy = std::make_unique<DummyLoadInst>(W.Obj);
     if (Mu)
       Dummy->addMemOperand(Mu);
@@ -388,6 +391,12 @@ public:
 };
 
 } // namespace
+
+MemoryName *&PreheaderVersions::at(const MemoryObject &Obj) {
+  if (Obj.id() >= ById.size())
+    ById.resize(Obj.id() + 1, nullptr);
+  return ById[Obj.id()];
+}
 
 WebProfit srp::computeProfit(const SSAWeb &W, const ProfileInfo &PI,
                              const DominatorTree &DT,
@@ -439,13 +448,20 @@ WebProfit srp::computeProfit(const SSAWeb &W, const ProfileInfo &PI,
 PromotionStats srp::promoteInWeb(SSAWeb &W, Function &F,
                                  const DominatorTree &DT,
                                  const ProfileInfo &PI,
-                                 const PromotionOptions &Opts) {
+                                 const PromotionOptions &Opts,
+                                 PreheaderVersions &PV) {
   PromotionStats Stats;
   ++Stats.WebsConsidered;
-  WebPromoter Promoter(W, F, DT, Opts);
+  WebPromoter Promoter(W, F, DT, Opts, PV);
 
   bool HasWork = !W.LoadRefs.empty() || !W.StoreRefs.empty();
-  WebProfit Profit = computeProfit(W, PI, DT, Opts);
+  // A web without loads or stores is never promoted, so its §4.3 profit
+  // only feeds the remark: skip it when no sink will print one.
+  RemarkEngine *RE = remarks::sink();
+  bool Report = RE && RE->wants("promotion");
+  WebProfit Profit;
+  if (HasWork || Report)
+    Profit = computeProfit(W, PI, DT, Opts);
   bool Promote = HasWork && Profit.total() >= Opts.ProfitThreshold;
   // Promoting a web that only has stores and keeps them is a no-op; demand
   // actual load replacement or store elimination.
@@ -460,7 +476,7 @@ PromotionStats srp::promoteInWeb(SSAWeb &W, Function &F,
   // One remark per considered web carrying the full §4.3 breakdown, so the
   // decision is reproducible from the report alone. Emitted before the
   // transformation (eliminateStores clears the reference lists).
-  if (RemarkEngine *RE = remarks::sink()) {
+  if (Report) {
     const char *Why = "NotPromoted";
     if (!HasWork)
       Why = "NoMemoryWork";
@@ -507,6 +523,7 @@ PromotionStats srp::promoteInWeb(SSAWeb &W, Function &F,
   }
 
   ++Stats.WebsPromoted;
+  PV.forget(*W.Obj);
   validation::recordPromotedWeb(F.name(), W.Obj->name(),
                                 W.Obj->name() + "#" + std::to_string(W.Id),
                                 "promotion");

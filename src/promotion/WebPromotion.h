@@ -21,6 +21,7 @@
 #include "promotion/PromotionOptions.h"
 #include "promotion/SSAWeb.h"
 #include <cstdint>
+#include <vector>
 
 namespace srp {
 
@@ -49,12 +50,28 @@ WebProfit computeProfit(const SSAWeb &W, const ProfileInfo &PI,
                         const DominatorTree &DT,
                         const PromotionOptions &Opts);
 
+/// The version of each object live at the end of one interval's preheader,
+/// kept for the dummy loads (Fig. 4) of the interval's webs: an interval
+/// with calls has a web per object between each pair of calls. Promoting a
+/// web edits the definitions of its own object only, so promoteInWeb
+/// forgets just that object. One instance serves the webs of one interval.
+class PreheaderVersions {
+  /// Indexed by MemoryObject::id(); null until looked up.
+  std::vector<MemoryName *> ById;
+
+public:
+  MemoryName *&at(const MemoryObject &Obj);
+  void forget(const MemoryObject &Obj) { at(Obj) = nullptr; }
+};
+
 /// promoteInWeb (paper Fig. 4). Transforms the function when profitable;
 /// always leaves valid SSA. Adds the dummy aliased load summarising the web
-/// for the parent interval when required. Returns what happened.
+/// for the parent interval when required, reading its version from \p PV,
+/// which the webs of W's interval share. Returns what happened.
 PromotionStats promoteInWeb(SSAWeb &W, Function &F, const DominatorTree &DT,
                             const ProfileInfo &PI,
-                            const PromotionOptions &Opts);
+                            const PromotionOptions &Opts,
+                            PreheaderVersions &PV);
 
 } // namespace srp
 

@@ -9,7 +9,7 @@
 #include "ir/Module.h"
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
+#include <cstdint>
 
 using namespace srp;
 
@@ -42,41 +42,39 @@ AliasInfo AliasInfo::compute(Function &F) {
   return AI;
 }
 
-std::vector<MemoryObject *>
-AliasInfo::useObjects(const Instruction &I) const {
+ObjectRefs AliasInfo::useObjects(const Instruction &I) const {
   switch (I.kind()) {
   case Value::Kind::Load:
-    return {static_cast<const LoadInst &>(I).object()};
+    return ObjectRefs(static_cast<const LoadInst &>(I).object());
   case Value::Kind::DummyLoad:
-    return {static_cast<const DummyLoadInst &>(I).object()};
+    return ObjectRefs(static_cast<const DummyLoadInst &>(I).object());
   case Value::Kind::ArrayLoad:
-    return {static_cast<const ArrayLoadInst &>(I).object()};
+    return ObjectRefs(static_cast<const ArrayLoadInst &>(I).object());
   case Value::Kind::ArrayStore:
     // Partial update of the aggregate: reads the rest of the array.
-    return {static_cast<const ArrayStoreInst &>(I).object()};
+    return ObjectRefs(static_cast<const ArrayStoreInst &>(I).object());
   case Value::Kind::PtrLoad:
   case Value::Kind::PtrStore:
-    return PointerAliases;
+    return ObjectRefs(PointerAliases);
   case Value::Kind::Call:
-    return CallModRef;
+    return ObjectRefs(CallModRef);
   case Value::Kind::Ret:
-    return EscapingAtReturn;
+    return ObjectRefs(EscapingAtReturn);
   default:
     return {};
   }
 }
 
-std::vector<MemoryObject *>
-AliasInfo::defObjects(const Instruction &I) const {
+ObjectRefs AliasInfo::defObjects(const Instruction &I) const {
   switch (I.kind()) {
   case Value::Kind::Store:
-    return {static_cast<const StoreInst &>(I).object()};
+    return ObjectRefs(static_cast<const StoreInst &>(I).object());
   case Value::Kind::ArrayStore:
-    return {static_cast<const ArrayStoreInst &>(I).object()};
+    return ObjectRefs(static_cast<const ArrayStoreInst &>(I).object());
   case Value::Kind::PtrStore:
-    return PointerAliases;
+    return ObjectRefs(PointerAliases);
   case Value::Kind::Call:
-    return CallModRef;
+    return ObjectRefs(CallModRef);
   default:
     return {};
   }
@@ -89,109 +87,108 @@ void srp::buildMemorySSA(Function &F, const DominatorTree &DT) {
 void srp::buildMemorySSA(Function &F, const DominatorTree &DT,
                          const AliasInfo &AI) {
   F.clearMemorySSA();
+  const unsigned NumIds = F.parent()->numObjectIds();
 
-  // Which objects does the function touch at all? (Avoids versioning the
-  // whole module for every function.)
-  std::unordered_map<const MemoryObject *, bool> Touched;
+  // One RPO pass: which objects the function touches at all (avoids
+  // versioning the whole module for every function), and each object's
+  // definition blocks in RPO, indexed by object id.
+  std::vector<uint8_t> Touched(NumIds, 0);
+  std::vector<std::vector<BasicBlock *>> DefBlocks(NumIds);
   for (BasicBlock *BB : DT.rpo())
     for (auto &I : *BB) {
       for (MemoryObject *O : AI.useObjects(*I))
-        Touched[O] = true;
-      for (MemoryObject *O : AI.defObjects(*I))
-        Touched[O] = true;
+        Touched[O->id()] = 1;
+      for (MemoryObject *O : AI.defObjects(*I)) {
+        Touched[O->id()] = 1;
+        std::vector<BasicBlock *> &Blocks = DefBlocks[O->id()];
+        if (Blocks.empty() || Blocks.back() != BB)
+          Blocks.push_back(BB);
+      }
     }
 
   std::vector<MemoryObject *> Objects;
   for (MemoryObject *O : AI.AllObjects)
-    if (Touched[O])
+    if (Touched[O->id()])
       Objects.push_back(O);
 
-  // Per-object: definition blocks, then memory phis at the IDF.
-  std::unordered_map<const BasicBlock *, std::vector<MemPhiInst *>> BlockPhis;
-
-  auto blockDefines = [&](BasicBlock *BB, MemoryObject *Obj) {
-    for (auto &I : *BB)
-      for (MemoryObject *O : AI.defObjects(*I))
-        if (O == Obj)
-          return true;
-    return false;
-  };
-
+  // Memory phis at the IDF of each object's definition blocks; the phis of
+  // each block, indexed by block number, in object order.
+  std::vector<std::vector<MemPhiInst *>> BlockPhis(F.blockNumberBound());
   for (MemoryObject *Obj : Objects) {
-    std::vector<BasicBlock *> DefBlocks;
-    for (BasicBlock *BB : DT.rpo())
-      if (blockDefines(BB, Obj))
-        DefBlocks.push_back(BB);
-    if (DefBlocks.empty())
+    const std::vector<BasicBlock *> &Defs = DefBlocks[Obj->id()];
+    if (Defs.empty())
       continue; // read-only object: only the entry version exists
-    for (BasicBlock *BB : DT.iteratedFrontier(DefBlocks)) {
+    for (BasicBlock *BB : DT.iteratedFrontier(Defs)) {
       auto Phi = std::make_unique<MemPhiInst>(Obj);
       MemPhiInst *Raw = Phi.get();
       BB->prepend(std::move(Phi));
-      BlockPhis[BB].push_back(Raw);
+      BlockPhis[BB->number()].push_back(Raw);
     }
   }
 
-  // Renaming: dominator-tree walk with a version stack per object.
-  std::unordered_map<const MemoryObject *, std::vector<MemoryName *>> Stacks;
+  // Renaming: dominator-tree walk. The reaching version of each object,
+  // indexed by object id, and an undo log of the versions the walk
+  // shadowed; a frame restores the log down to its entry size when the
+  // walk leaves its block.
+  std::vector<MemoryName *> Live(NumIds, nullptr);
+  std::vector<std::pair<unsigned, MemoryName *>> Shadowed;
+  auto Push = [&](const MemoryObject *O, MemoryName *N) {
+    Shadowed.emplace_back(O->id(), Live[O->id()]);
+    Live[O->id()] = N;
+  };
   for (MemoryObject *Obj : Objects) {
     MemoryName *Entry = F.createMemoryName(Obj);
     F.setEntryMemoryName(Obj, Entry);
-    Stacks[Obj].push_back(Entry);
+    Live[Obj->id()] = Entry;
   }
 
   struct Frame {
     BasicBlock *BB;
     unsigned NextChild = 0;
-    std::vector<std::pair<MemoryObject *, unsigned>> Pushed;
+    size_t LogSize = 0;
   };
-  std::vector<Frame> Stack;
-  Stack.push_back({F.entry(), 0, {}});
 
   // Process a block's instructions on first visit.
-  auto processBlock = [&](Frame &Fr) {
+  auto Enter = [&](Frame &Fr) {
     BasicBlock *BB = Fr.BB;
+    Fr.LogSize = Shadowed.size();
     for (auto &I : *BB) {
       if (auto *MP = dyn_cast<MemPhiInst>(I.get())) {
         MemoryName *New = F.createMemoryName(MP->object());
         MP->addMemDef(New);
-        Stacks[MP->object()].push_back(New);
-        Fr.Pushed.emplace_back(MP->object(), 1);
+        Push(MP->object(), New);
         continue;
       }
       for (MemoryObject *O : AI.useObjects(*I)) {
-        assert(!Stacks[O].empty() && "object with no reaching version");
-        I->addMemOperand(Stacks[O].back());
+        assert(Live[O->id()] && "object with no reaching version");
+        I->addMemOperand(Live[O->id()]);
       }
       for (MemoryObject *O : AI.defObjects(*I)) {
         MemoryName *New = F.createMemoryName(O);
         I->addMemDef(New);
-        Stacks[O].push_back(New);
-        Fr.Pushed.emplace_back(O, 1);
+        Push(O, New);
       }
     }
     // Fill successor memory phis.
-    for (BasicBlock *S : BB->succs()) {
-      auto It = BlockPhis.find(S);
-      if (It == BlockPhis.end())
-        continue;
-      for (MemPhiInst *MP : It->second)
-        MP->addIncoming(Stacks[MP->object()].back(), BB);
-    }
+    for (unsigned K = 0, E = BB->numSuccs(); K != E; ++K)
+      for (MemPhiInst *MP : BlockPhis[BB->succ(K)->number()])
+        MP->addIncoming(Live[MP->object()->id()], BB);
   };
 
-  processBlock(Stack.back());
-  while (!Stack.empty()) {
-    Frame &Top = Stack.back();
-    const auto &Kids = DT.children(Top.BB);
+  std::vector<Frame> Walk;
+  Walk.push_back({F.entry()});
+  Enter(Walk.back());
+  while (!Walk.empty()) {
+    Frame &Top = Walk.back();
+    const auto Kids = DT.children(Top.BB);
     if (Top.NextChild < Kids.size()) {
-      Stack.push_back({Kids[Top.NextChild++], 0, {}});
-      processBlock(Stack.back());
+      Walk.push_back({Kids[Top.NextChild++]});
+      Enter(Walk.back());
       continue;
     }
-    for (auto &[Obj, Count] : Top.Pushed)
-      for (unsigned K = 0; K != Count; ++K)
-        Stacks[Obj].pop_back();
-    Stack.pop_back();
+    for (size_t K = Shadowed.size(); K != Top.LogSize; --K)
+      Live[Shadowed[K - 1].first] = Shadowed[K - 1].second;
+    Shadowed.resize(Top.LogSize);
+    Walk.pop_back();
   }
 }

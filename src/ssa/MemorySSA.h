@@ -19,7 +19,9 @@
 #define SRP_SSA_MEMORYSSA_H
 
 #include "analysis/AnalysisManager.h"
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <vector>
 
 namespace srp {
@@ -28,6 +30,29 @@ class DominatorTree;
 class Function;
 class Instruction;
 class MemoryObject;
+
+/// The objects one instruction may read or write: a view of one of
+/// AliasInfo's sets (valid while the AliasInfo lives), or the single object
+/// the instruction names, held inline (iterators point into the view).
+class ObjectRefs {
+  MemoryObject *One = nullptr;
+  std::span<MemoryObject *const> Set;
+
+public:
+  ObjectRefs() = default;
+  explicit ObjectRefs(MemoryObject *Obj) : One(Obj) {}
+  explicit ObjectRefs(const std::vector<MemoryObject *> &Objs) : Set(Objs) {}
+
+  MemoryObject *const *begin() const { return One ? &One : Set.data(); }
+  MemoryObject *const *end() const {
+    return One ? &One + 1 : Set.data() + Set.size();
+  }
+  size_t size() const { return One ? 1 : Set.size(); }
+  bool empty() const { return size() == 0; }
+  bool contains(const MemoryObject *Obj) const {
+    return std::find(begin(), end(), Obj) != end();
+  }
+};
 
 /// Static alias model of a function (deliberately simple, matching the
 /// paper's assumptions): calls may use/modify every escaping object;
@@ -49,9 +74,9 @@ struct AliasInfo {
   static AliasInfo compute(Function &F);
 
   /// Objects instruction \p I may read (mu-set), in deterministic order.
-  std::vector<MemoryObject *> useObjects(const Instruction &I) const;
+  ObjectRefs useObjects(const Instruction &I) const;
   /// Objects instruction \p I may write (chi-set), in deterministic order.
-  std::vector<MemoryObject *> defObjects(const Instruction &I) const;
+  ObjectRefs defObjects(const Instruction &I) const;
 };
 
 /// Builds memory SSA for \p F in place: creates MemoryName versions,

@@ -117,25 +117,34 @@ SSAUpdateStats srp::sweepDeadDefs(Function &F,
   SSAUpdateStats Stats;
   // Deletion candidates are ONLY the provided versions (the paper's
   // allDefResSet). Other webs of the same object may be awaiting their own
-  // promotion and must not lose definitions behind their back.
-  std::unordered_set<const MemoryName *> InSet(Versions.begin(),
-                                               Versions.end());
+  // promotion and must not lose definitions behind their back. A store or
+  // memory phi defines exactly one version, so the candidate definitions
+  // are marked by the number of the version they define.
+  enum : uint8_t { Candidate = 1, Live = 2 };
+  std::vector<uint8_t> State(F.memoryNameBound(), 0);
   std::vector<Instruction *> Defs;
   for (MemoryName *N : Versions) {
     if (N->isEntryVersion() || !N->def())
       continue;
     Instruction *D = N->def();
-    if (isa<StoreInst>(D) || isa<MemPhiInst>(D))
+    if (isa<StoreInst>(D) || isa<MemPhiInst>(D)) {
       Defs.push_back(D);
+      State[N->number()] |= Candidate;
+    }
   }
+  auto isCandidatePhi = [&](const Instruction *I) {
+    const auto *MP = dyn_cast<MemPhiInst>(I);
+    return MP && MP->target() && (State[MP->target()->number()] & Candidate);
+  };
 
-  std::unordered_set<const Instruction *> DefSet(Defs.begin(), Defs.end());
-  std::unordered_set<const MemoryName *> Live;
   std::vector<const MemoryName *> Work;
   auto markLive = [&](const MemoryName *N) {
-    if (Live.insert(N).second)
+    if (!(State[N->number()] & Live)) {
+      State[N->number()] |= Live;
       Work.push_back(N);
+    }
   };
+  auto isLive = [&](const MemoryName *N) { return State[N->number()] & Live; };
   // Seeds: uses by anything that is not a deletion-candidate phi. Memory
   // phis outside the set (e.g. in an enclosing interval) are external
   // users and pin their operands.
@@ -144,7 +153,7 @@ SSAUpdateStats srp::sweepDeadDefs(Function &F,
         isa<StoreInst>(D) ? cast<StoreInst>(D)->memDefName()
                           : cast<MemPhiInst>(D)->target();
     for (const Use &U : Target->uses())
-      if (!isa<MemPhiInst>(U.User) || !DefSet.count(U.User))
+      if (!isCandidatePhi(U.User))
         markLive(Target);
   }
   // Propagate: a live version defined by an in-set phi keeps that phi's
@@ -152,11 +161,10 @@ SSAUpdateStats srp::sweepDeadDefs(Function &F,
   while (!Work.empty()) {
     const MemoryName *N = Work.back();
     Work.pop_back();
-    if (!N->def() || !DefSet.count(N->def()))
+    if (!N->def() || !isCandidatePhi(N->def()))
       continue;
-    if (auto *MP = dyn_cast<MemPhiInst>(N->def()))
-      for (MemoryName *Op : MP->memOperands())
-        markLive(Op);
+    for (MemoryName *Op : N->def()->memOperands())
+      markLive(Op);
   }
 
   // Decide deadness before deleting anything, then delete dead phis first
@@ -164,10 +172,10 @@ SSAUpdateStats srp::sweepDeadDefs(Function &F,
   std::vector<Instruction *> DeadPhis, DeadStores;
   for (Instruction *D : Defs) {
     if (auto *MP = dyn_cast<MemPhiInst>(D)) {
-      if (!Live.count(MP->target()))
+      if (!isLive(MP->target()))
         DeadPhis.push_back(MP);
     } else if (auto *St = dyn_cast<StoreInst>(D)) {
-      if (!Live.count(St->memDefName()))
+      if (!isLive(St->memDefName()))
         DeadStores.push_back(St);
     }
   }

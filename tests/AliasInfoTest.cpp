@@ -29,6 +29,10 @@ bool contains(const std::vector<MemoryObject *> &Set,
   return std::find(Set.begin(), Set.end(), Obj) != Set.end();
 }
 
+std::vector<MemoryObject *> toVector(ObjectRefs Refs) {
+  return {Refs.begin(), Refs.end()};
+}
+
 struct AliasFixture {
   std::unique_ptr<Module> M;
   Function *Main;
@@ -89,30 +93,30 @@ TEST(AliasInfoTest, PerInstructionEffects) {
   IRBuilder B(Fx.Main->createBlock("entry"));
 
   Instruction *Ld = B.load(Fx.G);
-  EXPECT_EQ(AI.useObjects(*Ld), std::vector<MemoryObject *>{Fx.G});
+  EXPECT_EQ(toVector(AI.useObjects(*Ld)), std::vector<MemoryObject *>{Fx.G});
   EXPECT_TRUE(AI.defObjects(*Ld).empty());
 
   Instruction *St = B.store(Fx.G, B.constant(1));
   EXPECT_TRUE(AI.useObjects(*St).empty());
-  EXPECT_EQ(AI.defObjects(*St), std::vector<MemoryObject *>{Fx.G});
+  EXPECT_EQ(toVector(AI.defObjects(*St)), std::vector<MemoryObject *>{Fx.G});
 
   Value *Addr = B.addrOf(Fx.GP);
   Instruction *PS = B.ptrStore(Addr, B.constant(2));
-  EXPECT_TRUE(contains(AI.defObjects(*PS), Fx.GP));
-  EXPECT_FALSE(contains(AI.defObjects(*PS), Fx.G));
+  EXPECT_TRUE(AI.defObjects(*PS).contains(Fx.GP));
+  EXPECT_FALSE(AI.defObjects(*PS).contains(Fx.G));
   // Pointer stores also "use" the old contents (chi merges).
-  EXPECT_TRUE(contains(AI.useObjects(*PS), Fx.GP));
+  EXPECT_TRUE(AI.useObjects(*PS).contains(Fx.GP));
 
   Instruction *AL = cast<Instruction>(B.arrayLoad(Fx.Arr, B.constant(0)));
-  EXPECT_EQ(AI.useObjects(*AL), std::vector<MemoryObject *>{Fx.Arr});
+  EXPECT_EQ(toVector(AI.useObjects(*AL)), std::vector<MemoryObject *>{Fx.Arr});
 
   Instruction *AS = B.arrayStore(Fx.Arr, B.constant(1), B.constant(3));
-  EXPECT_TRUE(contains(AI.defObjects(*AS), Fx.Arr));
+  EXPECT_TRUE(AI.defObjects(*AS).contains(Fx.Arr));
   // Partial update of the aggregate reads the rest of it.
-  EXPECT_TRUE(contains(AI.useObjects(*AS), Fx.Arr));
+  EXPECT_TRUE(AI.useObjects(*AS).contains(Fx.Arr));
 
   Instruction *Ret = B.ret();
-  EXPECT_TRUE(contains(AI.useObjects(*Ret), Fx.G));
+  EXPECT_TRUE(AI.useObjects(*Ret).contains(Fx.G));
   EXPECT_TRUE(AI.defObjects(*Ret).empty());
 }
 

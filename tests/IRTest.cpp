@@ -13,6 +13,7 @@
 #include "ssa/MemorySSA.h"
 #include "TestHelpers.h"
 #include <functional>
+#include <set>
 #include <gtest/gtest.h>
 
 using namespace srp;
@@ -138,6 +139,51 @@ TEST(IRTest, MemoryNameDefUseLinks) {
   EXPECT_TRUE(V0->isEntryVersion());
   EXPECT_EQ(St->memDefFor(G), V1);
   EXPECT_EQ(Ld->memOperandFor(G), V1);
+}
+
+// Memory names carry dense per-function numbers for vector-indexed tables
+// (memory SSA, SSA webs). A number is never handed out twice: a table
+// sized before a name was created must not cover it.
+TEST(IRTest, MemoryNameNumbersAreDenseAndNeverReused) {
+  Module M;
+  MemoryObject *G = M.createGlobal("g", 5);
+  MemoryObject *H = M.createGlobal("h", 6);
+  Function *F = M.createFunction("f", Type::Void);
+  Function *Other = M.createFunction("other", Type::Void);
+  BasicBlock *BB = F->createBlock("entry");
+  IRBuilder B(BB);
+  StoreInst *St = B.store(G, M.constant(1));
+  B.ret();
+  EXPECT_EQ(F->memoryNameBound(), 0u);
+
+  std::vector<MemoryName *> Names = {F->createMemoryName(G),
+                                     F->createMemoryName(H),
+                                     F->createMemoryName(G)};
+  F->setEntryMemoryName(G, Names[0]);
+  St->addMemDef(Names[2]);
+  EXPECT_EQ(F->memoryNameBound(), 3u);
+  std::set<unsigned> Seen;
+  for (MemoryName *N : Names) {
+    EXPECT_LT(N->number(), F->memoryNameBound());
+    EXPECT_TRUE(Seen.insert(N->number()).second) << N->name();
+  }
+  // Numbering is per function.
+  EXPECT_EQ(Other->createMemoryName(G)->number(), 0u);
+
+  // Purging the unused h.0 frees no number.
+  F->purgeDeadMemoryNames();
+  ASSERT_EQ(F->memoryNames().size(), 2u);
+  MemoryName *AfterPurge = F->createMemoryName(H);
+  EXPECT_EQ(AfterPurge->number(), 3u);
+
+  // Neither does dropping all of memory SSA.
+  F->clearMemorySSA();
+  EXPECT_TRUE(F->memoryNames().empty());
+  EXPECT_EQ(F->memoryNameBound(), 4u);
+  MemoryName *AfterClear = F->createMemoryName(G);
+  EXPECT_EQ(AfterClear->number(), 4u);
+  EXPECT_EQ(F->memoryNameBound(), 5u);
+  EXPECT_EQ(F->entryMemoryName(G), nullptr);
 }
 
 TEST(IRTest, SplitCriticalEdgeUpdatesPhis) {

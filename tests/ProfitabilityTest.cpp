@@ -56,9 +56,9 @@ struct ProfitFixture {
                                   PromotionOptions Opts = {}) {
     const Interval *Loop = CFG.IT.root()->children().front();
     auto Webs = constructSSAWebs(*Loop, Opts);
-    for (auto &W : Webs)
-      if (W->Obj->name() == Obj)
-        return std::move(W);
+    for (SSAWeb &W : Webs)
+      if (W.Obj->name() == Obj)
+        return std::make_unique<SSAWeb>(std::move(W));
     ADD_FAILURE() << "no web for " << Obj;
     return nullptr;
   }

@@ -15,11 +15,14 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ir/Printer.h"
 #include "pipeline/Pipeline.h"
 #include "support/Remarks.h"
 #include "TestHelpers.h"
 #include <cstdlib>
+#include <fstream>
 #include <gtest/gtest.h>
+#include <sstream>
 
 using namespace srp;
 using namespace srp::test;
@@ -257,6 +260,50 @@ TEST(RemarksTest, JsonIsByteStableAcrossRuns) {
   EXPECT_NE(A.find("\"remark_count\""), std::string::npos);
   EXPECT_NE(A.find("\"kind\": \"passed\""), std::string::npos);
   EXPECT_NE(A.find("\"pass\": \"promotion\""), std::string::npos);
+}
+
+std::string readWorkload(const std::string &File) {
+  std::ifstream In(std::string(SRP_WORKLOAD_DIR) + "/" + File);
+  EXPECT_TRUE(In.good()) << "cannot open workload " << File;
+  std::ostringstream SS;
+  SS << In.rdbuf();
+  return SS.str();
+}
+
+// The promoter computes a web's §4.3 profit only when it can matter: when
+// the web has loads or stores, or when a sink wants promotion remarks.
+// Whatever the sink, the transformed program must be the same.
+TEST(RemarksTest, SinkDoesNotSteerPromotion) {
+  ASSERT_EQ(remarks::sink(), nullptr);
+  for (const char *File : {"spice.mc", "mpeg.mc", "db.mc"}) {
+    const std::string Src = readWorkload(File);
+    ASSERT_FALSE(Src.empty());
+    for (PromotionMode Mode :
+         {PromotionMode::Paper, PromotionMode::PaperNoProfile}) {
+      SCOPED_TRACE(std::string(File) + " " + promotionModeName(Mode));
+      PipelineOptions Opts;
+      Opts.Mode = Mode;
+      PipelineResult Plain = PipelineBuilder().options(Opts).run(Src);
+      ASSERT_TRUE(Plain.Ok);
+      const std::string PlainIR = toString(*Plain.M);
+      // A sink that records promotion remarks, and one whose filter drops
+      // them at the source.
+      for (const char *Filter : {"", "mem2reg"}) {
+        SCOPED_TRACE(std::string("remarks filter '") + Filter + "'");
+        RemarkEngine RE;
+        RE.setPassFilter(Filter);
+        ScopedRemarkSink Install(RE);
+        PipelineResult Seen = PipelineBuilder().options(Opts).run(Src);
+        ASSERT_TRUE(Seen.Ok);
+        EXPECT_EQ(toString(*Seen.M), PlainIR);
+        EXPECT_TRUE(Seen.Promo == Plain.Promo);
+        bool SawPromotion = false;
+        for (const Remark &R : RE.remarks())
+          SawPromotion |= R.Pass == "promotion";
+        EXPECT_EQ(SawPromotion, *Filter == '\0');
+      }
+    }
+  }
 }
 
 } // namespace

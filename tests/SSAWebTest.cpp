@@ -19,6 +19,7 @@
 #include "ir/Printer.h"
 #include "TestHelpers.h"
 #include <gtest/gtest.h>
+#include <set>
 
 using namespace srp;
 using namespace srp::test;
@@ -45,8 +46,7 @@ struct WebFixture {
     buildMemorySSA(*F, CFG.DT);
   }
 
-  std::vector<std::unique_ptr<SSAWeb>> websIn(const Interval *Iv,
-                                              PromotionOptions Opts = {}) {
+  std::vector<SSAWeb> websIn(const Interval *Iv, PromotionOptions Opts = {}) {
     return constructSSAWebs(*Iv, Opts);
   }
 
@@ -55,12 +55,11 @@ struct WebFixture {
     return CFG.IT.root()->children().front();
   }
 
-  std::vector<SSAWeb *> websOf(const std::vector<std::unique_ptr<SSAWeb>> &Ws,
-                               const char *ObjName) {
+  std::vector<SSAWeb *> websOf(std::vector<SSAWeb> &Ws, const char *ObjName) {
     std::vector<SSAWeb *> Out;
-    for (const auto &W : Ws)
-      if (W->Obj->name() == ObjName)
-        Out.push_back(W.get());
+    for (SSAWeb &W : Ws)
+      if (W.Obj->name() == ObjName)
+        Out.push_back(&W);
     return Out;
   }
 };
@@ -163,8 +162,8 @@ TEST(SSAWebTest, ArraysExcludedFromWebs) {
     }
   )");
   auto Webs = Fx.websIn(Fx.loop());
-  for (const auto &W : Webs)
-    EXPECT_NE(W->Obj->kind(), MemoryObject::Kind::Array);
+  for (const SSAWeb &W : Webs)
+    EXPECT_NE(W.Obj->kind(), MemoryObject::Kind::Array);
 }
 
 TEST(SSAWebTest, LeafClassification) {
@@ -237,6 +236,91 @@ TEST(SSAWebTest, WebsWithoutReferencesAreDropped) {
   auto Webs = Fx.websIn(Fx.loop());
   EXPECT_TRUE(Fx.websOf(Webs, "y").empty());
   EXPECT_EQ(Fx.websOf(Webs, "x").size(), 1u);
+}
+
+TEST(SSAWebTest, ContainsOnlyTheWebsOwnNames) {
+  WebFixture Fx(R"(
+    int x = 0;
+    void foo() { x = x + 1; }
+    void main() {
+      int i;
+      for (i = 0; i < 10; i++) {
+        x = x + 1;
+        if (i == 5) foo();
+      }
+      print(x);
+    }
+  )");
+  auto Webs = Fx.websIn(Fx.loop());
+  auto XWebs = Fx.websOf(Webs, "x");
+  ASSERT_EQ(XWebs.size(), 1u);
+  const SSAWeb &W = *XWebs[0];
+  ASSERT_FALSE(W.Resources.empty());
+  for (MemoryName *N : W.Resources)
+    EXPECT_TRUE(W.contains(N)) << N->name();
+  for (const SSAWeb &Other : Webs) {
+    if (&Other == &W)
+      continue;
+    for (MemoryName *N : Other.Resources)
+      EXPECT_FALSE(W.contains(N)) << N->name();
+  }
+
+  // A name created after construction is past the web's name table.
+  MemoryName *Late = Fx.F->createMemoryName(W.Obj);
+  EXPECT_FALSE(W.contains(Late));
+
+  // Another function's name with the number of one of the web's names.
+  Function *Foo = nullptr;
+  for (const auto &Fn : Fx.M->functions())
+    if (Fn->name() == "foo")
+      Foo = Fn.get();
+  ASSERT_NE(Foo, nullptr);
+  const MemoryName *Own = W.Resources.back();
+  MemoryName *Foreign = nullptr;
+  while (Foo->memoryNameBound() <= Own->number())
+    Foreign = Foo->createMemoryName(W.Obj);
+  ASSERT_NE(Foreign, nullptr);
+  ASSERT_EQ(Foreign->number(), Own->number());
+  EXPECT_FALSE(W.contains(Foreign));
+}
+
+TEST(SSAWebTest, WholeVariableGivesOneWebPerObject) {
+  WebFixture Fx(R"(
+    int x = 0;
+    int y = 0;
+    void foo() { x = x + y; }
+    void main() {
+      int i;
+      for (i = 0; i < 10; i++) {
+        x = x + 1;
+        foo();
+        y = y + x;
+        foo();
+      }
+      print(x + y);
+    }
+  )");
+  // The calls split both variables into several webs per loop...
+  auto Granular = Fx.websIn(Fx.loop());
+  EXPECT_GT(Fx.websOf(Granular, "x").size(), 1u);
+  EXPECT_GT(Fx.websOf(Granular, "y").size(), 1u);
+
+  // ...which whole-variable mode merges into exactly one per object, each
+  // holding every name of its object the interval references.
+  PromotionOptions Whole;
+  Whole.WebGranularity = false;
+  auto Webs = Fx.websIn(Fx.loop(), Whole);
+  std::set<const MemoryObject *> Objects;
+  for (const SSAWeb &W : Webs)
+    EXPECT_TRUE(Objects.insert(W.Obj).second) << W.Obj->name();
+  for (const char *Name : {"x", "y"}) {
+    auto Ws = Fx.websOf(Webs, Name);
+    ASSERT_EQ(Ws.size(), 1u) << Name;
+    size_t GranularNames = 0;
+    for (SSAWeb *G : Fx.websOf(Granular, Name))
+      GranularNames += G->Resources.size();
+    EXPECT_GE(Ws[0]->Resources.size(), GranularNames) << Name;
+  }
 }
 
 } // namespace

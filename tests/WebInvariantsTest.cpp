@@ -51,24 +51,24 @@ TEST_P(WebInvariantsTest, PaperSetPropertiesHold) {
 
     for (Interval *Iv : CFG.IT.postorder()) {
       auto Webs = constructSSAWebs(*Iv, {});
-      for (const auto &W : Webs) {
+      for (const SSAWeb &W : Webs) {
         // Property 1: at most one live-in (proper intervals).
         if (Iv->isProper() || Iv->isRoot()) {
-          EXPECT_LE(W->NumLiveIns, 1u)
+          EXPECT_LE(W.NumLiveIns, 1u)
               << "seed " << GetParam() << " fn " << F->name() << " web of "
-              << W->Obj->name();
+              << W.Obj->name();
         }
 
         // Property 2: aliased stores define pairwise distinct resources.
         std::set<const MemoryName *> ChiDefs;
-        for (const auto &[Inst, Def] : W->AliasedStoreRefs)
+        for (const auto &[Inst, Def] : W.AliasedStoreRefs)
           EXPECT_TRUE(ChiDefs.insert(Def).second)
               << "aliased store defines a web resource twice";
 
         // Property 3: each aliased load instruction uses exactly one
         // resource of the web.
         std::map<const Instruction *, unsigned> UsesPerInst;
-        for (const auto &[Inst, Used] : W->AliasedLoadRefs)
+        for (const auto &[Inst, Used] : W.AliasedLoadRefs)
           ++UsesPerInst[Inst];
         for (const auto &[Inst, N] : UsesPerInst)
           EXPECT_EQ(N, 1u) << "aliased load uses several web resources";
@@ -78,7 +78,7 @@ TEST_P(WebInvariantsTest, PaperSetPropertiesHold) {
         // are totally ordered by dominance, so the reaching one is unique.
         for (const auto &[Srk, Tail] : Iv->exitEdges()) {
           unsigned Reaching = 0;
-          for (MemoryName *N : W->Resources) {
+          for (MemoryName *N : W.Resources) {
             if (!N->def() || !Iv->contains(N->def()->parent()))
               continue;
             // A def reaches the exit if its block dominates the source
@@ -86,7 +86,7 @@ TEST_P(WebInvariantsTest, PaperSetPropertiesHold) {
             // necessary check here is dominance of the exit source.
             if (CFG.DT.dominates(N->def()->parent(), Srk)) {
               bool Shadowed = false;
-              for (MemoryName *O : W->Resources) {
+              for (MemoryName *O : W.Resources) {
                 if (O == N || !O->def() ||
                     !Iv->contains(O->def()->parent()))
                   continue;
