@@ -16,12 +16,12 @@
 #include "ir/Printer.h"
 #include "ssa/MemorySSA.h"
 #include "ssa/ValueNumbering.h"
+#include "support/Hashing.h"
 #include <algorithm>
 #include <deque>
 #include <map>
-#include <set>
-#include <tuple>
 #include <unordered_map>
+#include <unordered_set>
 
 using namespace srp;
 
@@ -51,16 +51,18 @@ namespace {
 
 /// Deep-copies a module. Memory SSA is not carried over (the validator
 /// rebuilds it); everything else — objects, functions, blocks,
-/// instructions, predecessor lists — is reproduced structurally. Operand
-/// references that have not been cloned yet (phi back-edges, uses of
-/// later-layout definitions) are recorded as fixups against an Undef
-/// placeholder and patched once every instruction exists.
+/// instructions, predecessor lists — is reproduced structurally. Objects
+/// and blocks are mapped through vectors indexed by their dense numbers.
+/// An instruction is built with its operands' clones; an operand not cloned
+/// yet (a phi back-edge, a use of a later-layout definition) starts as the
+/// Undef placeholder and is recorded as a fixup, patched once every
+/// instruction exists.
 class ModuleCloner {
   const Module &Src;
   Module &Dst;
-  std::unordered_map<const MemoryObject *, MemoryObject *> OMap;
+  std::vector<MemoryObject *> OMap; ///< By MemoryObject::id().
   std::unordered_map<const Function *, Function *> FMap;
-  std::unordered_map<const BasicBlock *, BasicBlock *> BMap;
+  std::vector<BasicBlock *> BMap; ///< By BasicBlock::number(), per function.
   std::unordered_map<const Value *, Value *> VMap;
   struct Fixup {
     Instruction *I;
@@ -68,10 +70,10 @@ class ModuleCloner {
     const Value *OldV;
   };
   std::vector<Fixup> Fixups;
+  /// Forward operands of the instruction being built: (index, old value).
+  std::vector<std::pair<unsigned, const Value *>> Pending;
 
   Value *mapNow(const Value *V) {
-    if (!V)
-      return nullptr;
     if (auto *C = dyn_cast<ConstantInt>(V))
       return Dst.constant(C->value());
     if (isa<UndefValue>(V))
@@ -80,34 +82,42 @@ class ModuleCloner {
     return It == VMap.end() ? nullptr : It->second;
   }
 
-  /// Maps \p V, or records a fixup on (\p NI, \p Index) and returns the
-  /// Undef placeholder.
-  Value *mapOrDefer(const Value *V, Instruction *NI, unsigned Index) {
+  /// The clone of operand \p Index's value \p V, or the Undef placeholder
+  /// with a pending fixup when \p V has not been cloned yet.
+  Value *operand(const Value *V, unsigned Index) {
     if (Value *M = mapNow(V))
       return M;
-    Fixups.push_back({NI, Index, V});
+    Pending.emplace_back(Index, V);
     return Dst.undef();
   }
 
-  MemoryObject *obj(const MemoryObject *O) {
-    auto It = OMap.find(O);
-    assert(It != OMap.end() && "object reference escaped the module");
-    return It->second;
+  /// Appends \p NI to \p NB and turns its pending operands into fixups.
+  Instruction *add(BasicBlock *NB, std::unique_ptr<Instruction> NI) {
+    for (const auto &[Index, V] : Pending)
+      Fixups.push_back({NI.get(), Index, V});
+    Pending.clear();
+    return NB->append(std::move(NI));
   }
 
+  MemoryObject *obj(const MemoryObject *O) const {
+    assert(O->id() < OMap.size() && OMap[O->id()] &&
+           "object reference escaped the module");
+    return OMap[O->id()];
+  }
+
+  BasicBlock *block(const BasicBlock *BB) const { return BMap[BB->number()]; }
+
   void cloneBody(const Function &OF, Function &NF) {
+    BMap.assign(OF.blockNumberBound(), nullptr);
     for (const auto &BB : OF)
-      BMap[BB.get()] = NF.createBlock(BB->name());
-    // Instructions, with deferred operand patching.
+      BMap[BB->number()] = NF.createBlock(BB->name());
     for (const auto &BB : OF) {
-      BasicBlock *NB = BMap[BB.get()];
+      BasicBlock *NB = block(BB.get());
       for (const auto &IP : *BB) {
         const Instruction *I = IP.get();
         if (isa<MemPhiInst>(I))
           continue; // memory SSA is rebuilt, not cloned
-        Instruction *NI = cloneInst(*I, NB);
-        if (NI)
-          VMap[I] = NI;
+        VMap.emplace(I, cloneInst(*I, NB));
       }
     }
     for (const Fixup &F : Fixups) {
@@ -120,111 +130,96 @@ class ModuleCloner {
     // by membership; order is kept identical for determinism).
     for (const auto &BB : OF)
       for (BasicBlock *P : BB->preds())
-        BMap[BB.get()]->addPred(BMap[P]);
+        block(BB.get())->addPred(block(P));
   }
 
   Instruction *cloneInst(const Instruction &I, BasicBlock *NB) {
     switch (I.kind()) {
     case Value::Kind::BinOp: {
       auto &B = static_cast<const BinOpInst &>(I);
-      auto NI = std::make_unique<BinOpInst>(B.op(), Dst.undef(), Dst.undef(),
-                                            B.name());
-      NI->setOperand(0, mapOrDefer(B.lhs(), NI.get(), 0));
-      NI->setOperand(1, mapOrDefer(B.rhs(), NI.get(), 1));
-      return NB->append(std::move(NI));
+      Value *L = operand(B.lhs(), 0);
+      Value *R = operand(B.rhs(), 1);
+      return add(NB, std::make_unique<BinOpInst>(B.op(), L, R, B.name()));
     }
     case Value::Kind::Copy: {
-      auto &C = static_cast<const CopyInst &>(I);
       // Sources dominate their copy, but layout order need not follow
-      // dominance; fall back to a placeholder + fixup. The placeholder is
-      // Int-typed; every copy in this IR carries register (Int) values.
-      auto NI = std::make_unique<CopyInst>(Dst.undef(), C.name());
-      NI->setOperand(0, mapOrDefer(C.source(), NI.get(), 0));
-      return NB->append(std::move(NI));
+      // dominance, so the source may be a forward reference. The
+      // placeholder is Int-typed; every copy in this IR carries register
+      // (Int) values.
+      auto &C = static_cast<const CopyInst &>(I);
+      return add(NB, std::make_unique<CopyInst>(operand(C.source(), 0),
+                                                C.name()));
     }
     case Value::Kind::Phi: {
       auto &P = static_cast<const PhiInst &>(I);
       auto NI = std::make_unique<PhiInst>(P.type(), P.name());
-      PhiInst *Raw = NI.get();
-      NB->append(std::move(NI));
-      for (unsigned K = 0; K != P.numIncoming(); ++K) {
-        Raw->addIncoming(Dst.undef(), BMap[P.incomingBlock(K)]);
-        Raw->setOperand(K, mapOrDefer(P.incomingValue(K), Raw, K));
-      }
-      return Raw;
+      for (unsigned K = 0; K != P.numIncoming(); ++K)
+        NI->addIncoming(operand(P.incomingValue(K), K),
+                        block(P.incomingBlock(K)));
+      return add(NB, std::move(NI));
     }
     case Value::Kind::Load:
       return NB->append(std::make_unique<LoadInst>(
           obj(static_cast<const LoadInst &>(I).object()), I.name()));
     case Value::Kind::Store: {
       auto &S = static_cast<const StoreInst &>(I);
-      auto NI = std::make_unique<StoreInst>(obj(S.object()), Dst.undef());
-      NI->setOperand(0, mapOrDefer(S.storedValue(), NI.get(), 0));
-      return NB->append(std::move(NI));
+      return add(NB, std::make_unique<StoreInst>(
+                         obj(S.object()), operand(S.storedValue(), 0)));
     }
     case Value::Kind::AddrOf:
       return NB->append(std::make_unique<AddrOfInst>(
           obj(static_cast<const AddrOfInst &>(I).object()), I.name()));
     case Value::Kind::PtrLoad: {
       auto &L = static_cast<const PtrLoadInst &>(I);
-      auto NI = std::make_unique<PtrLoadInst>(Dst.undef(), L.name());
-      NI->setOperand(0, mapOrDefer(L.address(), NI.get(), 0));
-      return NB->append(std::move(NI));
+      return add(NB, std::make_unique<PtrLoadInst>(operand(L.address(), 0),
+                                                   L.name()));
     }
     case Value::Kind::PtrStore: {
       auto &S = static_cast<const PtrStoreInst &>(I);
-      auto NI = std::make_unique<PtrStoreInst>(Dst.undef(), Dst.undef());
-      NI->setOperand(0, mapOrDefer(S.address(), NI.get(), 0));
-      NI->setOperand(1, mapOrDefer(S.storedValue(), NI.get(), 1));
-      return NB->append(std::move(NI));
+      Value *Addr = operand(S.address(), 0);
+      Value *V = operand(S.storedValue(), 1);
+      return add(NB, std::make_unique<PtrStoreInst>(Addr, V));
     }
     case Value::Kind::ArrayLoad: {
       auto &L = static_cast<const ArrayLoadInst &>(I);
-      auto NI = std::make_unique<ArrayLoadInst>(obj(L.object()), Dst.undef(),
-                                                L.name());
-      NI->setOperand(0, mapOrDefer(L.index(), NI.get(), 0));
-      return NB->append(std::move(NI));
+      return add(NB, std::make_unique<ArrayLoadInst>(
+                         obj(L.object()), operand(L.index(), 0), L.name()));
     }
     case Value::Kind::ArrayStore: {
       auto &S = static_cast<const ArrayStoreInst &>(I);
-      auto NI = std::make_unique<ArrayStoreInst>(obj(S.object()), Dst.undef(),
-                                                 Dst.undef());
-      NI->setOperand(0, mapOrDefer(S.index(), NI.get(), 0));
-      NI->setOperand(1, mapOrDefer(S.storedValue(), NI.get(), 1));
-      return NB->append(std::move(NI));
+      Value *Idx = operand(S.index(), 0);
+      Value *V = operand(S.storedValue(), 1);
+      return add(NB,
+                 std::make_unique<ArrayStoreInst>(obj(S.object()), Idx, V));
     }
     case Value::Kind::Call: {
       auto &C = static_cast<const CallInst &>(I);
-      std::vector<Value *> Args(C.numOperands(), Dst.undef());
-      auto NI = std::make_unique<CallInst>(FMap[C.callee()], Args, C.type(),
-                                           C.name());
+      std::vector<Value *> Args;
+      Args.reserve(C.numOperands());
       for (unsigned K = 0; K != C.numOperands(); ++K)
-        NI->setOperand(K, mapOrDefer(C.operand(K), NI.get(), K));
-      return NB->append(std::move(NI));
+        Args.push_back(operand(C.operand(K), K));
+      return add(NB, std::make_unique<CallInst>(FMap.at(C.callee()),
+                                                std::move(Args), C.type(),
+                                                C.name()));
     }
-    case Value::Kind::Print: {
-      auto &P = static_cast<const PrintInst &>(I);
-      auto NI = std::make_unique<PrintInst>(Dst.undef());
-      NI->setOperand(0, mapOrDefer(P.value(), NI.get(), 0));
-      return NB->append(std::move(NI));
-    }
+    case Value::Kind::Print:
+      return add(NB, std::make_unique<PrintInst>(operand(
+                         static_cast<const PrintInst &>(I).value(), 0)));
     case Value::Kind::Br:
       return NB->append(std::make_unique<BrInst>(
-          BMap[static_cast<const BrInst &>(I).target()]));
+          block(static_cast<const BrInst &>(I).target())));
     case Value::Kind::CondBr: {
       auto &B = static_cast<const CondBrInst &>(I);
-      auto NI = std::make_unique<CondBrInst>(
-          Dst.undef(), BMap[B.trueTarget()], BMap[B.falseTarget()]);
-      NI->setOperand(0, mapOrDefer(B.condition(), NI.get(), 0));
-      return NB->append(std::move(NI));
+      return add(NB, std::make_unique<CondBrInst>(
+                         operand(B.condition(), 0), block(B.trueTarget()),
+                         block(B.falseTarget())));
     }
     case Value::Kind::Ret: {
       auto &R = static_cast<const RetInst &>(I);
       if (!R.returnValue())
         return NB->append(std::make_unique<RetInst>());
-      auto NI = std::make_unique<RetInst>(Dst.undef());
-      NI->setOperand(0, mapOrDefer(R.returnValue(), NI.get(), 0));
-      return NB->append(std::move(NI));
+      return add(NB,
+                 std::make_unique<RetInst>(operand(R.returnValue(), 0)));
     }
     case Value::Kind::DummyLoad:
       return NB->append(std::make_unique<DummyLoadInst>(
@@ -239,6 +234,7 @@ public:
   ModuleCloner(const Module &Src, Module &Dst) : Src(Src), Dst(Dst) {}
 
   void run() {
+    OMap.assign(Src.numObjectIds(), nullptr);
     for (const auto &G : Src.globals()) {
       MemoryObject *NG;
       switch (G->kind()) {
@@ -254,7 +250,7 @@ public:
       }
       if (G->isAddressTaken())
         NG->setAddressTaken();
-      OMap[G.get()] = NG;
+      OMap[G->id()] = NG;
     }
     // Functions first (call instructions reference callees), then bodies.
     for (const auto &F : Src.functions()) {
@@ -267,7 +263,7 @@ public:
                                            L->initialValue());
         if (L->isAddressTaken())
           NL->setAddressTaken();
-        OMap[L.get()] = NL;
+        OMap[L->id()] = NL;
       }
     }
     for (const auto &F : Src.functions())
@@ -327,29 +323,29 @@ bool isSoftEffect(const Instruction &I) {
 /// post-pass, desynchronising the two sides' effect skeletons. Instead
 /// the store-to-load dataflow is traversed through memory SSA: a live
 /// read pulls in the stored values its version may observe.
-std::unordered_map<const Value *, bool> computeLiveResults(Function &F) {
-  std::unordered_map<const Value *, bool> Live;
+std::unordered_set<const Instruction *> computeLiveResults(Function &F) {
+  std::unordered_set<const Instruction *> Live;
   std::vector<const Instruction *> WL;
-  std::set<const MemoryName *> SeenMem;
+  std::vector<bool> SeenMem(F.memoryNameBound());
   auto MarkVal = [&](Value *Op) {
     if (auto *OpI = dyn_cast<Instruction>(Op))
-      if (!Live.count(OpI)) {
-        Live[OpI] = true;
+      if (Live.insert(OpI).second)
         WL.push_back(OpI);
-      }
   };
   // Walks a mu chain to the stores whose values the read may observe. A
   // singleton store's own mu is not followed (the store fully overwrites
   // its object, so prior state is unobservable through it), and chi
   // definitions stop the walk — their instructions are hard-effect roots
   // already.
+  std::vector<MemoryName *> MWL;
   auto MarkMem = [&](MemoryName *MN) {
-    std::vector<MemoryName *> MWL{MN};
+    MWL.assign(1, MN);
     while (!MWL.empty()) {
       MemoryName *N = MWL.back();
       MWL.pop_back();
-      if (!N || !SeenMem.insert(N).second)
+      if (!N || SeenMem[N->number()])
         continue;
+      SeenMem[N->number()] = true;
       Instruction *D = N->def();
       if (!D)
         continue; // entry state
@@ -392,39 +388,75 @@ std::unordered_map<const Value *, bool> computeLiveResults(Function &F) {
   return Live;
 }
 
+/// Builds memory SSA on \p F in place, then its value numbers and live
+/// set into \p A. Module objects restart their version numbers first, so
+/// a function's memory names do not depend on which other functions of
+/// its module were analysed before it.
+void analyseSide(Function &F, ValidatedFunction &A) {
+  for (const auto &G : F.parent()->globals())
+    G->resetVersions();
+  DominatorTree DT(F);
+  buildMemorySSA(F, DT);
+  A.VN.build(F, DT);
+  A.Live = computeLiveResults(F);
+}
+
+using InstPair = std::pair<const Instruction *, const Instruction *>;
+struct InstPairHash {
+  size_t operator()(const InstPair &P) const {
+    return hashWords(P.first, P.second);
+  }
+};
+
 class FunctionValidator {
-  Function &OF, &NF;
   Module &OldM, &NewM;
+  const ValidatedFunction &OldA, &NewA;
   DiagnosticEngine &DE;
   TransValidateStats &Stats;
   FnOutcome Outcome;
 
-  ValueNumberTable OVN, NVN;
-  std::unordered_map<const Value *, bool> OldLive, NewLive;
-
   using Chain = std::vector<const BasicBlock *>;
-  using BBPair = std::pair<const BasicBlock *, const BasicBlock *>;
+  /// One product pair: an old and a new block whose walks start together.
+  /// Pairs are numbered as they are created; the walk processes them in
+  /// that order.
   struct PairInfo {
+    const BasicBlock *Old, *New;
     Chain OldChain, NewChain;
     /// Product pairs whose walk branched or closed into this one. The
     /// source pair's chains are final by the time an edge is recorded
     /// (edges are only added from terminator handling, which ends the
-    /// source pair's walk), so a key suffices.
-    std::vector<BBPair> InEdges;
-    bool Processed = false;
+    /// source pair's walk), so its number suffices.
+    std::vector<unsigned> InEdges;
   };
-  /// node-based so references stay valid while new pairs are enqueued.
-  std::map<BBPair, PairInfo> Pairs;
-  std::deque<BBPair> Worklist;
+  /// By pair number. A deque, so references stay valid while new pairs
+  /// are added.
+  std::deque<PairInfo> Pairs;
+  /// Pair number by (old block number, new block number).
+  std::unordered_map<uint64_t, unsigned> PairNumbers;
   /// Effect/terminator pairs matched by the lockstep walk. A set (not a
   /// per-instruction ordinal) because one old block may be walked against
   /// several new blocks when a pass splits edges or duplicates a trace.
-  std::set<std::pair<const Instruction *, const Instruction *>> Matched;
+  std::unordered_set<InstPair, InstPairHash> Matched;
 
   /// Sentinel chain position: the value was computed before the chain's
   /// first block was entered, so phis may not step inside this chain at
   /// all — resolution defers through the pair's in-edges instead.
   static constexpr size_t PreChain = ~static_cast<size_t>(0);
+
+  /// Proof-state key: both values (post canonicalisation and in-chain phi
+  /// stepping) plus the context they are being compared at: a product
+  /// pair and the chain positions on each side.
+  struct ProofKey {
+    const Value *A, *B;
+    unsigned Pair;
+    size_t PosA, PosB;
+    bool operator==(const ProofKey &) const = default;
+  };
+  struct ProofKeyHash {
+    size_t operator()(const ProofKey &K) const {
+      return hashWords(K.A, K.B, K.Pair, K.PosA, K.PosB);
+    }
+  };
 
   struct Obligation {
     Value *OldV, *NewV;
@@ -434,29 +466,39 @@ class FunctionValidator {
     /// the chain positions of the blocks the cursors were in. Equivalence
     /// is a per-observation-point claim, so the same value pair may need
     /// separate proofs at different anchors.
-    BBPair At;
+    unsigned At;
     size_t PosA, PosB;
   };
   std::vector<Obligation> Obls;
-  std::set<std::tuple<const Value *, const Value *, const BasicBlock *,
-                      const BasicBlock *, size_t, size_t, const char *>>
-      OblSeen;
-  /// Context of the pair currently being walked (read by addObligation).
-  BBPair CurPair;
+  struct ObligationKey {
+    ProofKey K;
+    const char *What;
+    bool operator==(const ObligationKey &) const = default;
+  };
+  struct ObligationKeyHash {
+    size_t operator()(const ObligationKey &O) const {
+      return mixWord(ProofKeyHash()(O.K), reinterpret_cast<uintptr_t>(O.What));
+    }
+  };
+  std::unordered_set<ObligationKey, ObligationKeyHash> OblSeen;
+  /// The pair currently being walked (read by addObligation).
+  unsigned CurPair = 0;
   bool StructureOk = true;
   unsigned DiagsEmitted = 0;
   static constexpr unsigned MaxDiagsPerFunction = 8;
   static constexpr size_t MaxChainLength = 512;
 
-  /// Proof-state key: both values (post canonicalisation and in-chain phi
-  /// stepping) plus the context they are being compared at.
-  using ProofKey = std::tuple<const Value *, const Value *,
-                              const BasicBlock *, const BasicBlock *, size_t,
-                              size_t>;
-  /// Permanent verdicts, and the per-obligation tentative map
-  /// (0 = in progress, 1 = proven under assumptions, 2 = failed).
-  std::map<ProofKey, bool> Memo;
-  std::map<ProofKey, int> Tent;
+  /// Proof state. Proven and Failed are permanent verdicts; the others
+  /// belong to the obligation being discharged: in progress, or proven or
+  /// failed under its assumptions.
+  enum class Verdict : uint8_t { Proven, Failed, Pending, TentProven,
+                                 TentFailed };
+  std::unordered_map<ProofKey, Verdict, ProofKeyHash> Proofs;
+  /// Entries the current obligation added (nodes are stable in an
+  /// unordered_map, so the pointers survive rehashing).
+  std::vector<std::pair<const ProofKey, Verdict> *> Tentative;
+  /// Scratch for matchMus.
+  std::vector<MemoryName *> MuOld, MuNew, MuNewOnly;
 
   //===------------------------------------------------------------------===
   // Diagnostics.
@@ -479,33 +521,34 @@ class FunctionValidator {
   bool effective(const Instruction &I, bool OldSide) const {
     if (isHardEffect(I))
       return true;
-    if (isSoftEffect(I)) {
-      const auto &Live = OldSide ? OldLive : NewLive;
-      return Live.count(&I) != 0;
-    }
+    if (isSoftEffect(I))
+      return (OldSide ? OldA : NewA).Live.count(&I) != 0;
     return false;
   }
 
   void addObligation(Value *OldV, Value *NewV, const Instruction *OI,
                      const Instruction *NI, const char *What) {
-    const PairInfo &PI = Pairs.at(CurPair);
+    const PairInfo &PI = Pairs[CurPair];
     const size_t PosA = PI.OldChain.size() - 1;
     const size_t PosB = PI.NewChain.size() - 1;
-    if (OblSeen
-            .insert({OldV, NewV, CurPair.first, CurPair.second, PosA, PosB,
-                     What})
-            .second)
+    if (OblSeen.insert({{OldV, NewV, CurPair, PosA, PosB}, What}).second)
       Obls.push_back({OldV, NewV, OI, NI, What, CurPair, PosA, PosB});
   }
 
-  void enqueue(const BasicBlock *OT, const BasicBlock *NT,
-               const BBPair &From) {
-    auto [It, Fresh] = Pairs.try_emplace({OT, NT});
-    auto &Edges = It->second.InEdges;
+  /// The number of pair (\p OT, \p NT), created if new.
+  unsigned pairFor(const BasicBlock *OT, const BasicBlock *NT) {
+    const uint64_t Key = uint64_t(OT->number()) << 32 | NT->number();
+    auto [It, Fresh] =
+        PairNumbers.try_emplace(Key, static_cast<unsigned>(Pairs.size()));
+    if (Fresh)
+      Pairs.push_back({OT, NT, {}, {}, {}});
+    return It->second;
+  }
+
+  void enqueue(const BasicBlock *OT, const BasicBlock *NT, unsigned From) {
+    auto &Edges = Pairs[pairFor(OT, NT)].InEdges;
     if (std::find(Edges.begin(), Edges.end(), From) == Edges.end())
       Edges.push_back(From);
-    if (Fresh)
-      Worklist.push_back({OT, NT});
   }
 
   /// Follows the unconditional branch at the cursor on one side, extending
@@ -528,18 +571,39 @@ class FunctionValidator {
     return true;
   }
 
+  /// \p I's mu operands sorted by object name into \p Out; where two
+  /// objects share a name, the later operand stands for both.
+  static void musByName(const Instruction *I, std::vector<MemoryName *> &Out) {
+    const auto &Ops = I->memOperands();
+    Out.assign(Ops.begin(), Ops.end());
+    std::stable_sort(Out.begin(), Out.end(), [](MemoryName *A, MemoryName *B) {
+      return A->object()->name() < B->object()->name();
+    });
+    size_t W = 0;
+    for (MemoryName *N : Out) {
+      if (W && Out[W - 1]->object()->name() == N->object()->name())
+        Out[W - 1] = N;
+      else
+        Out[W++] = N;
+    }
+    Out.resize(W);
+  }
+
   /// mu-operand matching for a paired effect: same observed objects modulo
   /// the implicit-entry rule, with one memory obligation per common object.
+  /// Obligations come in object-name order: every old-side object, then
+  /// the objects only the new side observes.
   void matchMus(const Instruction *OI, const Instruction *NI) {
-    std::map<std::string, MemoryName *> OM, NM;
-    for (MemoryName *N : OI->memOperands())
-      OM[N->object()->name()] = N;
-    for (MemoryName *N : NI->memOperands())
-      NM[N->object()->name()] = N;
-    for (auto &[Name, ON] : OM) {
-      auto It = NM.find(Name);
-      if (It != NM.end()) {
-        addObligation(ON, It->second, OI, NI, "observed memory state");
+    musByName(OI, MuOld);
+    musByName(NI, MuNew);
+    MuNewOnly.clear();
+    size_t J = 0;
+    for (MemoryName *ON : MuOld) {
+      const std::string &Name = ON->object()->name();
+      while (J != MuNew.size() && MuNew[J]->object()->name() < Name)
+        MuNewOnly.push_back(MuNew[J++]);
+      if (J != MuNew.size() && MuNew[J]->object()->name() == Name) {
+        addObligation(ON, MuNew[J++], OI, NI, "observed memory state");
         continue;
       }
       // The new side no longer references the object at all (memory SSA
@@ -547,9 +611,9 @@ class FunctionValidator {
       // value, so the old version must resolve to the entry version too.
       addObligation(ON, nullptr, OI, NI, "observed memory state");
     }
-    for (auto &[Name, NN] : NM)
-      if (!OM.count(Name))
-        addObligation(nullptr, NN, OI, NI, "observed memory state");
+    MuNewOnly.insert(MuNewOnly.end(), MuNew.begin() + J, MuNew.end());
+    for (MemoryName *NN : MuNewOnly)
+      addObligation(nullptr, NN, OI, NI, "observed memory state");
   }
 
   bool matchEffect(const Instruction *OI, const Instruction *NI) {
@@ -645,13 +709,10 @@ class FunctionValidator {
     ++Stats.EffectPairsMatched;
   }
 
-  void processPair(const BBPair P) {
+  void processPair(unsigned P) {
     PairInfo &PI = Pairs[P];
-    if (PI.Processed)
-      return;
-    PI.Processed = true;
     CurPair = P;
-    const BasicBlock *OB = P.first, *NB = P.second;
+    const BasicBlock *OB = PI.Old, *NB = PI.New;
     PI.OldChain = {OB};
     PI.NewChain = {NB};
     auto OIt = OB->begin(), NIt = NB->begin();
@@ -764,7 +825,7 @@ class FunctionValidator {
   /// local scalars to the per-activation initial value.
   Value *resolve(Value *V, bool OldSide) {
     Module &M = OldSide ? OldM : NewM;
-    const ValueNumberTable &VN = OldSide ? OVN : NVN;
+    const ValueNumberTable &VN = (OldSide ? OldA : NewA).VN;
     for (;;) {
       if (isa<Instruction>(V)) {
         Value *L = VN.leader(V);
@@ -892,8 +953,8 @@ class FunctionValidator {
   bool deferToInEdges(const Slot &SA, const Slot &SB, const PairInfo &PI) {
     if (PI.InEdges.empty())
       return false; // entry pair: no paths left to split the phi over
-    for (const BBPair &RK : PI.InEdges) {
-      const PairInfo &R = Pairs.at(RK);
+    for (unsigned RK : PI.InEdges) {
+      const PairInfo &R = Pairs[RK];
       Value *AV = SA.V, *BV = SB.V;
       if (AV) {
         if (Instruction *PA = asPhi(AV); PA && SA.Pos != PreChain &&
@@ -917,7 +978,7 @@ class FunctionValidator {
     return true;
   }
 
-  bool proveImpl(const Slot &SA, const Slot &SB, const BBPair P,
+  bool proveImpl(const Slot &SA, const Slot &SB, unsigned P,
                  const PairInfo &PI) {
     Value *A = SA.V, *B = SB.V;
     // A null side is the implicit entry state of an object the other side
@@ -1000,34 +1061,40 @@ class FunctionValidator {
   /// is assumed to hold (see deferToInEdges); tentative proofs become
   /// permanent only if the enclosing top-level obligation succeeds, while
   /// failures are always definite (assumptions can only help a proof).
-  bool prove(Value *RawA, Value *RawB, const BBPair P, size_t PosA,
+  bool prove(Value *RawA, Value *RawB, unsigned P, size_t PosA,
              size_t PosB) {
-    const PairInfo &PI = Pairs.at(P);
+    const PairInfo &PI = Pairs[P];
     Slot SA{RawA, PosA}, SB{RawB, PosB};
     if (!stepWithin(SA, PI.OldChain, /*OldSide=*/true) ||
         !stepWithin(SB, PI.NewChain, /*OldSide=*/false))
       return false;
-    const ProofKey Key{SA.V, SB.V, P.first, P.second, SA.Pos, SB.Pos};
-    if (auto It = Memo.find(Key); It != Memo.end())
-      return It->second;
-    if (auto It = Tent.find(Key); It != Tent.end())
-      return It->second != 2;
-    Tent[Key] = 0;
+    auto [It, Fresh] = Proofs.try_emplace(
+        ProofKey{SA.V, SB.V, P, SA.Pos, SB.Pos}, Verdict::Pending);
+    if (!Fresh)
+      return It->second != Verdict::Failed &&
+             It->second != Verdict::TentFailed;
+    Tentative.push_back(&*It);
+    Verdict &V = It->second;
     const bool Ok = proveImpl(SA, SB, P, PI);
-    Tent[Key] = Ok ? 1 : 2;
+    V = Ok ? Verdict::TentProven : Verdict::TentFailed;
     return Ok;
   }
 
   void dischargeObligations() {
     for (const Obligation &O : Obls) {
-      Tent.clear();
       const bool Ok = prove(O.OldV, O.NewV, O.At, O.PosA, O.PosB);
-      for (const auto &[K, V] : Tent) {
-        if (V == 2)
-          Memo[K] = false; // failures are definite
-        else if (Ok && V == 1)
-          Memo[K] = true; // proofs are valid once the root succeeded
+      // Failures are definite; proofs are valid once the root succeeded.
+      for (auto *E : Tentative) {
+        if (E->second == Verdict::TentFailed) {
+          E->second = Verdict::Failed;
+        } else if (Ok) {
+          E->second = Verdict::Proven;
+        } else {
+          const ProofKey K = E->first;
+          Proofs.erase(K);
+        }
       }
+      Tentative.clear();
       const MemoryName *MN = O.OldV ? dyn_cast<MemoryName>(O.OldV) : nullptr;
       if (!MN && O.NewV)
         MN = dyn_cast<MemoryName>(O.NewV);
@@ -1054,28 +1121,18 @@ class FunctionValidator {
   }
 
 public:
-  FunctionValidator(Function &OF, Function &NF, DiagnosticEngine &DE,
+  FunctionValidator(Function &OF, Function &NF, const ValidatedFunction &OldA,
+                    const ValidatedFunction &NewA, DiagnosticEngine &DE,
                     TransValidateStats &Stats)
-      : OF(OF), NF(NF), OldM(*OF.parent()), NewM(*NF.parent()), DE(DE),
-        Stats(Stats) {}
+      : OldM(*OF.parent()), NewM(*NF.parent()), OldA(OldA), NewA(NewA),
+        DE(DE), Stats(Stats) {
+    pairFor(OF.entry(), NF.entry());
+  }
 
   FnOutcome run() {
-    DominatorTree ODT(OF), NDT(NF);
-    buildMemorySSA(OF, ODT);
-    buildMemorySSA(NF, NDT);
-    OVN.build(OF, ODT);
-    NVN.build(NF, NDT);
-    OldLive = computeLiveResults(OF);
-    NewLive = computeLiveResults(NF);
-
-    const BBPair EntryP{OF.entry(), NF.entry()};
-    Pairs.try_emplace(EntryP);
-    Worklist.push_back(EntryP);
-    while (!Worklist.empty() && StructureOk) {
-      const BBPair P = Worklist.front();
-      Worklist.pop_front();
+    // Every pair is walked once, in the order the walk created it.
+    for (unsigned P = 0; P != Pairs.size() && StructureOk; ++P)
       processPair(P);
-    }
     if (StructureOk)
       dischargeObligations();
     return Outcome;
@@ -1092,16 +1149,9 @@ bool srp::validateTranslation(
     Module &OldM, Module &NewM,
     const std::vector<validation::PromotedWebRecord> &Webs,
     DiagnosticEngine &DE, TransValidateStats &Stats,
-    const std::unordered_set<std::string> *OnlyFunctions) {
+    const std::unordered_set<std::string> *OnlyFunctions,
+    SnapshotAnalyses *Kept) {
   const unsigned ErrorsBefore = DE.errors();
-
-  // Memory SSA is rebuilt below, and module objects number their versions
-  // module-wide. Restart the numbering so a snapshot validated before (the
-  // pass manager reuses one pass's post-pass clone as the next pass's
-  // snapshot) spells its versions in diagnostics as a fresh clone does.
-  for (Module *Side : {&OldM, &NewM})
-    for (const auto &G : Side->globals())
-      G->resetVersions();
 
   for (const auto &OF : OldM.functions())
     if (!NewM.getFunction(OF->name()))
@@ -1112,6 +1162,11 @@ bool srp::validateTranslation(
       DE.error("trans-cfg", DiagLocation::inFunction(NFp->name()),
                "function appeared across the pass");
 
+  // The old side reuses what a previous validation built on OldM; the new
+  // side's analyses are handed back for the next validation.
+  const SnapshotAnalyses *Prev = Kept && Kept->Of == &OldM ? Kept : nullptr;
+  SnapshotAnalyses Built;
+  Built.Of = &NewM;
   std::map<std::string, FnOutcome> Outcomes;
   for (const auto &OF : OldM.functions()) {
     Function *NF = NewM.getFunction(OF->name());
@@ -1121,10 +1176,24 @@ bool srp::validateTranslation(
       ++Stats.FunctionsSkippedIdentical;
       continue;
     }
-    FunctionValidator V(*OF, *NF, DE, Stats);
+    const ValidatedFunction *OldA = nullptr;
+    if (Prev)
+      if (auto It = Prev->Functions.find(OF.get());
+          It != Prev->Functions.end())
+        OldA = &It->second;
+    ValidatedFunction OldFresh;
+    if (!OldA) {
+      analyseSide(*OF, OldFresh);
+      OldA = &OldFresh;
+    }
+    ValidatedFunction &NewA = Built.Functions[NF];
+    analyseSide(*NF, NewA);
+    FunctionValidator V(*OF, *NF, *OldA, NewA, DE, Stats);
     Outcomes[OF->name()] = V.run();
     ++Stats.FunctionsValidated;
   }
+  if (Kept)
+    *Kept = std::move(Built);
 
   for (const auto &W : Webs) {
     ++Stats.WebsChecked;

@@ -55,14 +55,18 @@
 #define SRP_ANALYSIS_TRANSVALIDATE_H
 
 #include "analysis/Diagnostics.h"
+#include "ssa/ValueNumbering.h"
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 namespace srp {
 
+class Function;
+class Instruction;
 class Module;
 
 /// Accounting for validateTranslation runs (feeds the `validation`
@@ -147,6 +151,24 @@ public:
 /// never executed; object ids are freshly numbered.
 std::unique_ptr<Module> cloneModule(const Module &M);
 
+/// What validation builds on one side of one function besides its memory
+/// SSA (which lives in the IR): value-number leaders, and the instructions
+/// whose results transitively feed an observable effect.
+struct ValidatedFunction {
+  ValueNumberTable VN;
+  std::unordered_set<const Instruction *> Live;
+};
+
+/// The analyses a validation built on its post-pass module. The pass
+/// manager keeps them with that module while it serves as the next pass's
+/// snapshot, so the next validation reuses them on its pre-pass side
+/// instead of rebuilding. Valid only while the module is not edited.
+struct SnapshotAnalyses {
+  /// The module the analyses were built on.
+  const Module *Of = nullptr;
+  std::unordered_map<const Function *, ValidatedFunction> Functions;
+};
+
 /// Proves \p NewM semantically equivalent to \p OldM (the pre-pass
 /// snapshot), reporting every unproven pair into \p DE and accounting
 /// into \p Stats. \p Webs is the promotion ledger for the validated pass
@@ -154,11 +176,18 @@ std::unique_ptr<Module> cloneModule(const Module &M);
 /// functions not in the set are assumed textually identical and skipped.
 /// Both modules are mutated (memory SSA is rebuilt on each side), so
 /// callers pass clones. Returns true when everything is proven.
+///
+/// When \p Kept is non-null, the analyses it holds for \p OldM stand in
+/// for rebuilding them there, and on return it holds the analyses this
+/// call built on \p NewM, for a next call that validates against NewM.
+/// Memory versions are numbered per function on each side, so a reused
+/// side names them exactly as a fresh clone does.
 bool validateTranslation(Module &OldM, Module &NewM,
                          const std::vector<validation::PromotedWebRecord> &Webs,
                          DiagnosticEngine &DE, TransValidateStats &Stats,
                          const std::unordered_set<std::string> *OnlyFunctions
-                         = nullptr);
+                         = nullptr,
+                         SnapshotAnalyses *Kept = nullptr);
 
 } // namespace srp
 

@@ -153,7 +153,9 @@ struct ProgramGen::Impl {
   Impl(uint64_t Seed, GenConfig Cfg) : Rand(Seed), Cfg(Cfg) {}
 
   std::string fresh(const char *Prefix) {
-    return std::string(Prefix) + std::to_string(NameCounter++);
+    std::string Name = Prefix;
+    Name += std::to_string(NameCounter++);
+    return Name;
   }
 
   std::string indent(unsigned Depth) { return std::string(Depth * 2, ' '); }

@@ -68,9 +68,12 @@ bool PassManager::run(Module &M, AnalysisManager &AM,
   // pass's pre-pass text and snapshot. The text detects which functions a
   // pass touched (only those are translation-validated) and lets a failure
   // dump show the IR the pass started from next to what it produced; the
-  // snapshot is what the pass is proven against.
+  // snapshot is what the pass is proven against. The snapshot carries the
+  // analyses the validation that cloned it built on it, which the next
+  // validation reuses on its pre-pass side.
   std::unordered_map<std::string, std::string> PreText;
   std::unique_ptr<Module> PreClone;
+  SnapshotAnalyses PreAnalyses;
   if (Level >= Strictness::Semantic) {
     for (const auto &F : M.functions())
       PreText.emplace(F->name(), toString(*F));
@@ -186,9 +189,12 @@ bool PassManager::run(Module &M, AnalysisManager &AM,
             Span.begin("verify", "validate:" + Rec.Name);
           ScopedTimer T(VStats.Validation.WallSeconds);
           PostClone = cloneModule(M);
+          // Afterwards PreAnalyses holds what this validation built on
+          // PostClone, the next snapshot.
           Proven = validateTranslation(*PreClone, *PostClone,
                                        Ledger.records(), VDE,
-                                       VStats.Validation, &Changed);
+                                       VStats.Validation, &Changed,
+                                       &PreAnalyses);
         }
         ++VStats.Validation.PassesValidated;
         VStats.Diagnostics += VDE.diagnostics().size();

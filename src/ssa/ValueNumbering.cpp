@@ -7,7 +7,8 @@
 #include "ssa/ValueNumbering.h"
 #include "analysis/Dominators.h"
 #include "ir/Function.h"
-#include <map>
+#include "support/Hashing.h"
+#include <unordered_map>
 #include <vector>
 
 using namespace srp;
@@ -20,34 +21,78 @@ struct ExprKey {
   unsigned Opcode;           ///< BinOpKind+1, 0 = load, ~0 = addr-of
   const void *Op0, *Op1;
 
-  bool operator<(const ExprKey &R) const {
-    if (Opcode != R.Opcode)
-      return Opcode < R.Opcode;
-    if (Op0 != R.Op0)
-      return Op0 < R.Op0;
-    return Op1 < R.Op1;
+  bool operator==(const ExprKey &) const = default;
+};
+
+struct ExprKeyHash {
+  size_t operator()(const ExprKey &K) const {
+    return hashWords(K.Opcode, K.Op0, K.Op1);
   }
 };
 
-class GVNWalker {
-  Function &F;
-  const DominatorTree &DT;
-  GVNStats Stats;
-  /// Scoped expression table: the walk pushes one scope per dominator-tree
-  /// node and pops it on exit, so a hit always dominates the current
-  /// instruction.
-  std::map<ExprKey, Value *> Table;
-  std::vector<std::vector<ExprKey>> Scopes;
+/// Scoped expression table: the walk pushes one scope per dominator-tree
+/// node and pops it on exit, so a hit always dominates the current
+/// instruction. A pop erases exactly the keys its scope inserted.
+class ScopedExprTable {
+  std::unordered_map<ExprKey, Value *, ExprKeyHash> Table;
+  /// Keys inserted, in order; ScopeStarts holds each open scope's start.
+  std::vector<ExprKey> Inserted;
+  std::vector<size_t> ScopeStarts;
+
+public:
+  void pushScope() { ScopeStarts.push_back(Inserted.size()); }
+  void popScope() {
+    for (size_t K = ScopeStarts.back(); K != Inserted.size(); ++K)
+      Table.erase(Inserted[K]);
+    Inserted.resize(ScopeStarts.back());
+    ScopeStarts.pop_back();
+  }
 
   void insert(const ExprKey &K, Value *V) {
     if (Table.emplace(K, V).second)
-      Scopes.back().push_back(K);
+      Inserted.push_back(K);
   }
 
   Value *lookup(const ExprKey &K) const {
     auto It = Table.find(K);
     return It == Table.end() ? nullptr : It->second;
   }
+};
+
+/// Preorder dominator-tree walk from \p F's entry: \p Process sees each
+/// block inside a scope of \p Table that is popped once the block's
+/// subtree is done.
+template <typename BlockFn>
+void walkScoped(Function &F, const DominatorTree &DT, ScopedExprTable &Table,
+                BlockFn Process) {
+  struct Frame {
+    BasicBlock *BB;
+    unsigned NextChild = 0;
+  };
+  std::vector<Frame> Stack;
+  Table.pushScope();
+  Stack.push_back({F.entry()});
+  Process(F.entry());
+  while (!Stack.empty()) {
+    Frame &Top = Stack.back();
+    const auto &Kids = DT.children(Top.BB);
+    if (Top.NextChild < Kids.size()) {
+      BasicBlock *Child = Kids[Top.NextChild++];
+      Table.pushScope();
+      Stack.push_back({Child});
+      Process(Child);
+      continue;
+    }
+    Table.popScope();
+    Stack.pop_back();
+  }
+}
+
+class GVNWalker {
+  Function &F;
+  const DominatorTree &DT;
+  GVNStats Stats;
+  ScopedExprTable Table;
 
   /// Processes one block; returns the instructions it erased.
   void processBlock(BasicBlock *BB) {
@@ -86,23 +131,23 @@ class GVNWalker {
         if (isCommutativeBinOp(B->op()) && R < L)
           std::swap(L, R);
         ExprKey Key{static_cast<unsigned>(B->op()) + 1, L, R};
-        if (Value *Prev = lookup(Key)) {
+        if (Value *Prev = Table.lookup(Key)) {
           I->replaceAllUsesWith(Prev);
           Dead.push_back(I);
           ++Stats.BinOpsUnified;
         } else {
-          insert(Key, I);
+          Table.insert(Key, I);
         }
         break;
       }
       case Value::Kind::AddrOf: {
         auto *A = cast<AddrOfInst>(I);
         ExprKey Key{~0u, A->object(), nullptr};
-        if (Value *Prev = lookup(Key)) {
+        if (Value *Prev = Table.lookup(Key)) {
           I->replaceAllUsesWith(Prev);
           Dead.push_back(I);
         } else {
-          insert(Key, I);
+          Table.insert(Key, I);
         }
         break;
       }
@@ -112,12 +157,12 @@ class GVNWalker {
         if (!Ld->memUse())
           break;
         ExprKey Key{0, Ld->memUse(), nullptr};
-        if (Value *Prev = lookup(Key)) {
+        if (Value *Prev = Table.lookup(Key)) {
           I->replaceAllUsesWith(Prev);
           Dead.push_back(I);
           ++Stats.LoadsUnified;
         } else {
-          insert(Key, I);
+          Table.insert(Key, I);
         }
         break;
       }
@@ -133,29 +178,7 @@ public:
   GVNWalker(Function &F, const DominatorTree &DT) : F(F), DT(DT) {}
 
   GVNStats run() {
-    struct Frame {
-      BasicBlock *BB;
-      unsigned NextChild = 0;
-    };
-    std::vector<Frame> Stack;
-    Scopes.emplace_back();
-    Stack.push_back({F.entry()});
-    processBlock(F.entry());
-    while (!Stack.empty()) {
-      Frame &Top = Stack.back();
-      const auto &Kids = DT.children(Top.BB);
-      if (Top.NextChild < Kids.size()) {
-        BasicBlock *Child = Kids[Top.NextChild++];
-        Scopes.emplace_back();
-        Stack.push_back({Child});
-        processBlock(Child);
-        continue;
-      }
-      for (const ExprKey &K : Scopes.back())
-        Table.erase(K);
-      Scopes.pop_back();
-      Stack.pop_back();
-    }
+    walkScoped(F, DT, Table, [this](BasicBlock *BB) { processBlock(BB); });
     return Stats;
   }
 };
@@ -170,22 +193,11 @@ class TableBuilder {
   Function &F;
   const DominatorTree &DT;
   std::unordered_map<const Value *, Value *> &Leader;
-  std::map<ExprKey, Value *> Table;
-  std::vector<std::vector<ExprKey>> Scopes;
+  ScopedExprTable Table;
 
   Value *leaderOf(Value *V) const {
     auto It = Leader.find(V);
     return It == Leader.end() ? V : It->second;
-  }
-
-  void insert(const ExprKey &K, Value *V) {
-    if (Table.emplace(K, V).second)
-      Scopes.back().push_back(K);
-  }
-
-  Value *lookup(const ExprKey &K) const {
-    auto It = Table.find(K);
-    return It == Table.end() ? nullptr : It->second;
   }
 
   void processBlock(BasicBlock *BB) {
@@ -214,18 +226,18 @@ class TableBuilder {
         if (isCommutativeBinOp(B->op()) && R < L)
           std::swap(L, R);
         ExprKey Key{static_cast<unsigned>(B->op()) + 1, L, R};
-        if (Value *Prev = lookup(Key))
+        if (Value *Prev = Table.lookup(Key))
           Leader[I] = Prev;
         else
-          insert(Key, I);
+          Table.insert(Key, I);
         break;
       }
       case Value::Kind::AddrOf: {
         ExprKey Key{~0u, cast<AddrOfInst>(I)->object(), nullptr};
-        if (Value *Prev = lookup(Key))
+        if (Value *Prev = Table.lookup(Key))
           Leader[I] = Prev;
         else
-          insert(Key, I);
+          Table.insert(Key, I);
         break;
       }
       case Value::Kind::Load: {
@@ -233,10 +245,10 @@ class TableBuilder {
         if (!Ld->memUse())
           break;
         ExprKey Key{0, Ld->memUse(), nullptr};
-        if (Value *Prev = lookup(Key))
+        if (Value *Prev = Table.lookup(Key))
           Leader[I] = Prev;
         else
-          insert(Key, I);
+          Table.insert(Key, I);
         break;
       }
       default:
@@ -251,29 +263,7 @@ public:
       : F(F), DT(DT), Leader(Leader) {}
 
   void run() {
-    struct Frame {
-      BasicBlock *BB;
-      unsigned NextChild = 0;
-    };
-    std::vector<Frame> Stack;
-    Scopes.emplace_back();
-    Stack.push_back({F.entry()});
-    processBlock(F.entry());
-    while (!Stack.empty()) {
-      Frame &Top = Stack.back();
-      const auto &Kids = DT.children(Top.BB);
-      if (Top.NextChild < Kids.size()) {
-        BasicBlock *Child = Kids[Top.NextChild++];
-        Scopes.emplace_back();
-        Stack.push_back({Child});
-        processBlock(Child);
-        continue;
-      }
-      for (const ExprKey &K : Scopes.back())
-        Table.erase(K);
-      Scopes.pop_back();
-      Stack.pop_back();
-    }
+    walkScoped(F, DT, Table, [this](BasicBlock *BB) { processBlock(BB); });
   }
 };
 

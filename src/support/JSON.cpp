@@ -69,8 +69,12 @@ std::string Value::dump() const {
     std::snprintf(Buf, sizeof(Buf), "%.17g", D);
     return Buf;
   }
-  case Kind::String:
-    return "\"" + escape(S) + "\"";
+  case Kind::String: {
+    std::string Out = "\"";
+    Out += escape(S);
+    Out += '"';
+    return Out;
+  }
   case Kind::Array: {
     std::string Out = "[";
     for (size_t N = 0; N != Arr.size(); ++N) {
@@ -85,7 +89,10 @@ std::string Value::dump() const {
     for (size_t N = 0; N != Obj.size(); ++N) {
       if (N)
         Out += ",";
-      Out += "\"" + escape(Obj[N].first) + "\":" + Obj[N].second.dump();
+      Out += '"';
+      Out += escape(Obj[N].first);
+      Out += "\":";
+      Out += Obj[N].second.dump();
     }
     return Out + "}";
   }

@@ -38,8 +38,11 @@ std::unique_ptr<Module> randomCFG(uint64_t Seed, unsigned N) {
   auto M = std::make_unique<Module>("randcfg");
   Function *F = M->createFunction("f", Type::Void);
   std::vector<BasicBlock *> Blocks;
-  for (unsigned I = 0; I != N; ++I)
-    Blocks.push_back(F->createBlock("b" + std::to_string(I)));
+  for (unsigned I = 0; I != N; ++I) {
+    std::string Name = "b";
+    Name += std::to_string(I);
+    Blocks.push_back(F->createBlock(std::move(Name)));
+  }
   for (unsigned I = 0; I != N; ++I) {
     IRBuilder B(Blocks[I]);
     unsigned Kind = static_cast<unsigned>(Rand.below(10));

@@ -8,16 +8,23 @@
 /// Tests for the per-pass translation validator (-verify-each=semantic):
 ///  - the "semantic" strictness spelling round-trips,
 ///  - cloneModule deep-copies (text-identical, independent mutation),
+///    also with calls, address-taken locals, arrays, struct fields, phis
+///    reading later-laid-out values and blocks numbered out of layout
+///    order,
 ///  - ValueNumberTable records dominating congruence leaders,
 ///  - validateTranslation proves identical clones and rejects a dropped
-///    store through the direct API,
+///    store through the direct API, with diagnostics and counts that do
+///    not depend on where the clones were allocated,
 ///  - positive control: every promotion mode proves every pass over
 ///    promotion-rich programs and the oracle workloads at
 ///    Strictness::Semantic with zero failed obligations,
 ///  - mutation tests in the StaticAnalysisTest style: a pass that drops a
 ///    store, swaps a phi's incoming values, or swaps two promoted webs'
 ///    stored values must fail semantic validation with the error
-///    attributed to the mutating pass and the right trans-* check.
+///    attributed to the mutating pass and the right trans-* check,
+///  - the pass manager's kept snapshot analyses: a validation that reuses
+///    the previous validation's analyses reports exactly what fresh clones
+///    report, and proves what they prove.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,9 +47,11 @@
 #include <fstream>
 #include <functional>
 #include <gtest/gtest.h>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 using namespace srp;
@@ -104,6 +113,93 @@ TEST(TransValidateTest, CloneModuleIsTextIdenticalAndIndependent) {
   CF->entry()->erase(CF->entry()->terminator());
   EXPECT_EQ(toString(*M), Before);
   EXPECT_NE(toString(*Clone), Before);
+}
+
+// Shapes the cloner must map without a lookup by address: calls between
+// functions, an address-taken local, a global array and struct fields, a
+// loop header phi whose back-edge value is laid out after it, and a split
+// edge, whose new block's number is out of layout order.
+TEST(TransValidateTest, CloneModuleCopiesAwkwardShapes) {
+  auto M = compileOrDie(R"(
+    int g = 2;
+    int arr[4];
+    struct S { int f1; int f2 = 3; } s;
+    int bump(int x) {
+      int t;
+      int p = &t;
+      *p = x + g;
+      arr[x % 4] = t;
+      s.f1 = s.f1 + t;
+      return t;
+    }
+    int main() {
+      int i;
+      int acc;
+      i = 0;
+      acc = 1;
+      while (i < 6) {
+        acc = acc + bump(i);
+        if (acc > 10) {
+          s.f2 = acc;
+        }
+        i = i + 1;
+      }
+      print(acc);
+      return acc + s.f2 + arr[1];
+    }
+  )");
+  ASSERT_NE(M, nullptr);
+  for (const auto &F : M->functions()) {
+    DominatorTree DT(*F);
+    promoteLocalsToSSA(*F, DT);
+    canonicalize(*F);
+  }
+  Function *Main = M->getFunction("main");
+  ASSERT_NE(Main, nullptr);
+  bool Split = false;
+  for (BasicBlock *BB : Main->blocks())
+    if (!Split && BB->numSuccs() == 1 && BB->succ(0)->numPreds() == 2) {
+      splitEdge(BB, BB->succ(0));
+      Split = true;
+    }
+  ASSERT_TRUE(Split);
+  bool OutOfOrder = false, ForwardPhi = false;
+  unsigned Layout = 0;
+  for (BasicBlock *BB : Main->blocks()) {
+    OutOfOrder |= BB->number() != Layout++;
+    for (auto &I : *BB)
+      if (auto *P = dyn_cast<PhiInst>(I.get()))
+        for (unsigned K = 0; K != P->numIncoming(); ++K)
+          if (auto *D = dyn_cast<Instruction>(P->incomingValue(K)))
+            ForwardPhi |= D->parent() != BB && D->parent()->number() >
+                                                   BB->number();
+  }
+  ASSERT_TRUE(OutOfOrder);
+  ASSERT_TRUE(ForwardPhi);
+
+  const std::string Before = toString(*M);
+  auto Clone = cloneModule(*M);
+  auto Clone2 = cloneModule(*M);
+  EXPECT_EQ(toString(*Clone), Before);
+
+  DiagnosticEngine DE;
+  TransValidateStats Stats;
+  EXPECT_TRUE(validateTranslation(*Clone, *Clone2, {}, DE, Stats));
+  for (const Diagnostic &D : DE.diagnostics())
+    ADD_FAILURE() << toText(D);
+  EXPECT_EQ(Stats.FunctionsValidated, 2u);
+  EXPECT_EQ(Stats.ObligationsFailed, 0u);
+
+  // Mutating a clone must not touch the source.
+  auto Mutant = cloneModule(*M);
+  Function *Bump = Mutant->getFunction("bump");
+  ASSERT_NE(Bump, nullptr);
+  for (BasicBlock *BB : Bump->blocks())
+    for (auto &I : *BB)
+      if (auto *St = dyn_cast<ArrayStoreInst>(I.get()))
+        St->setOperand(1, Mutant->constant(99));
+  EXPECT_NE(toString(*Mutant), Before);
+  EXPECT_EQ(toString(*M), Before);
 }
 
 //===----------------------------------------------------------------------===
@@ -193,6 +289,80 @@ TEST(TransValidateTest, DirectDroppedStoreIsRejected) {
   EXPECT_FALSE(validateTranslation(*Old, *New, {}, DE, Stats));
   EXPECT_TRUE(DE.has("trans-memory") || DE.has("trans-value"));
   EXPECT_GT(Stats.ObligationsFailed, 0u);
+}
+
+bool sameCounts(const TransValidateStats &A, const TransValidateStats &B) {
+  return A.PassesValidated == B.PassesValidated &&
+         A.FunctionsValidated == B.FunctionsValidated &&
+         A.FunctionsSkippedIdentical == B.FunctionsSkippedIdentical &&
+         A.EffectPairsMatched == B.EffectPairsMatched &&
+         A.ObligationsProven == B.ObligationsProven &&
+         A.ObligationsFailed == B.ObligationsFailed &&
+         A.WebsChecked == B.WebsChecked && A.WebsProven == B.WebsProven;
+}
+
+// The proof state lives in hash tables keyed by addresses. Nothing read
+// from them may reach a diagnostic or a count in a different order or
+// amount when the clones land elsewhere in memory.
+TEST(TransValidateTest, DiagnosticsDoNotDependOnAddresses) {
+  auto M = compileOrDie(R"(
+    int g = 0;
+    int h = 0;
+    int f(int a) { g = a; h = a + 1; print(g + h); return a; }
+    int main() { g = 1; h = 2; print(f(3)); g = 4; h = 5; return 0; }
+  )");
+  ASSERT_NE(M, nullptr);
+  // Drops the last store to each object in every function.
+  auto DropLastStores = [](Module &Mod) {
+    for (const auto &F : Mod.functions()) {
+      std::map<std::string, StoreInst *> Last;
+      for (BasicBlock *BB : F->blocks())
+        for (auto &I : *BB)
+          if (auto *S = dyn_cast<StoreInst>(I.get()))
+            Last[S->object()->name()] = S;
+      for (auto &[Name, S] : Last)
+        S->parent()->erase(S);
+    }
+  };
+  const std::vector<validation::PromotedWebRecord> Webs = {
+      {"f", "g", "g#0", "drop"}, {"f", "h", "h#0", "drop"},
+      {"main", "g", "g#1", "drop"}, {"main", "h", "h#1", "drop"}};
+
+  std::vector<std::string> First;
+  TransValidateStats FirstStats;
+  std::vector<std::unique_ptr<std::string>> Ballast;
+  for (unsigned Round = 0; Round != 20; ++Round) {
+    SCOPED_TRACE("round " + std::to_string(Round));
+    // Allocate between rounds so the clones land at different addresses.
+    for (unsigned K = 0; K != 1 + Round * 7; ++K)
+      Ballast.push_back(std::make_unique<std::string>(40 + K % 90, 'x'));
+    auto Old = cloneModule(*M);
+    auto New = cloneModule(*M);
+    DropLastStores(*New);
+    DiagnosticEngine DE;
+    TransValidateStats Stats;
+    EXPECT_FALSE(validateTranslation(*Old, *New, Webs, DE, Stats));
+    std::vector<std::string> Texts;
+    for (const Diagnostic &D : DE.diagnostics())
+      Texts.push_back(toText(D));
+    if (Round == 0) {
+      First = Texts;
+      FirstStats = Stats;
+      // Failures on both objects in both functions.
+      for (const char *Fn : {"f", "main"})
+        for (const char *Obj : {"'g.", "'h."}) {
+          bool Found = false;
+          for (const Diagnostic &D : DE.diagnostics())
+            Found |= D.Loc.Function == Fn && D.CheckID == "trans-memory" &&
+                     D.Message.find(Obj) != std::string::npos;
+          EXPECT_TRUE(Found) << Fn << " " << Obj;
+        }
+      EXPECT_GE(Stats.ObligationsFailed, 4u);
+      continue;
+    }
+    EXPECT_EQ(Texts, First);
+    EXPECT_TRUE(sameCounts(Stats, FirstStats));
+  }
 }
 
 //===----------------------------------------------------------------------===
@@ -516,6 +686,93 @@ TEST(SemanticMutationTest, SwappedWebValuesIsAttributed) {
   EXPECT_TRUE(anyContains(Errors, "after pass 'mutate-swap-webs'"));
   EXPECT_TRUE(anyContains(Errors, "trans-web"));
   EXPECT_TRUE(anyContains(Errors, "trans-memory"));
+}
+
+/// Inserts a dead `add` before the entry block's terminator in every
+/// function: a change to each function's text that proves trivially.
+void addDeadAdds(Module &M, AnalysisManager &AM) {
+  for (const auto &F : M.functions()) {
+    if (F->empty())
+      continue;
+    F->entry()->insertBeforeTerminator(std::make_unique<BinOpInst>(
+        BinOpKind::Add, M.constant(1), M.constant(2), F->uniqueValueName()));
+    AM.invalidate(*F);
+  }
+}
+
+// touch-both is validated in both functions, so its post-pass clone, the
+// next snapshot, carries both functions' analyses; mutate-main changes
+// main only and is proven against that snapshot. Its diagnostics must read
+// exactly as against fresh clones, whose memory versions are numbered with
+// main analysed on its own: kept analyses name a global's versions per
+// function, not in continuation of the functions validated before.
+TEST(SemanticMutationTest, KeptAnalysesReportAsFreshClones) {
+  std::unique_ptr<Module> FreshPre, FreshPost;
+  std::vector<std::string> Errors;
+  EXPECT_FALSE(runSemanticSteps(
+      "int g = 0; int f(int a) { g = g + a; return g; }"
+      " int main() { g = 1; print(f(2)); g = 5; return g; }",
+      false,
+      {{"touch-both", addDeadAdds},
+       {"mutate-main",
+        [&](Module &M, AnalysisManager &AM) {
+          FreshPre = cloneModule(M);
+          dropLastStore(M, AM);
+          FreshPost = cloneModule(M);
+        }}},
+      Errors));
+  EXPECT_FALSE(anyContains(Errors, "after pass 'touch-both'"));
+  const std::string Prefix = "after pass 'mutate-main': ";
+  std::vector<std::string> Reported;
+  for (const std::string &E : Errors)
+    if (E.rfind(Prefix + "error[trans-", 0) == 0)
+      Reported.push_back(E.substr(Prefix.size()));
+
+  ASSERT_TRUE(FreshPre && FreshPost);
+  const std::unordered_set<std::string> OnlyMain = {"main"};
+  DiagnosticEngine DE;
+  TransValidateStats Stats;
+  EXPECT_FALSE(
+      validateTranslation(*FreshPre, *FreshPost, {}, DE, Stats, &OnlyMain));
+  std::vector<std::string> Fresh;
+  for (const Diagnostic &D : DE.diagnostics())
+    if (D.Severity == DiagSeverity::Error)
+      Fresh.push_back(toText(D));
+  ASSERT_FALSE(Fresh.empty());
+  EXPECT_EQ(Reported, Fresh);
+}
+
+// The positive twin: split-edge is proven against touch-both's snapshot,
+// reusing the analyses touch-both's validation built for main.
+TEST(SemanticMutationTest, EdgeSplitProvenWithKeptAnalyses) {
+  std::vector<std::string> Errors;
+  TransValidateStats Stats;
+  bool Split = false;
+  EXPECT_TRUE(runSemanticSteps(
+      "int g = 0; int f(int a) { g = g + a; return g; }"
+      " int main() { int a; a = 3;"
+      " if (a < 5) { g = 7; } else { g = 9; } print(f(2)); return g; }",
+      true,
+      {{"touch-both", addDeadAdds},
+       {"split-edge",
+        [&](Module &M, AnalysisManager &AM) {
+          Function *F = M.getFunction("main");
+          for (BasicBlock *BB : F->blocks())
+            if (BB->numSuccs() == 1 && BB->succ(0)->numPreds() == 2) {
+              splitEdge(BB, BB->succ(0));
+              AM.invalidate(*F);
+              Split = true;
+              return;
+            }
+        }}},
+      Errors, &Stats));
+  for (const auto &E : Errors)
+    ADD_FAILURE() << E;
+  EXPECT_TRUE(Split);
+  // setup and touch-both validate both functions, split-edge main alone.
+  EXPECT_EQ(Stats.PassesValidated, 3u);
+  EXPECT_EQ(Stats.FunctionsValidated, 5u);
+  EXPECT_EQ(Stats.ObligationsFailed, 0u);
 }
 
 } // namespace
