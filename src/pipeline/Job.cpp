@@ -24,11 +24,11 @@ SRP_HISTOGRAM(JobMicros, "pipeline", "job-micros",
               "End-to-end wall time of one compile job (us)");
 
 /// The single execution point every consumer funnels through (one-shot
-/// CLI, parallel driver, server workers): runs the pipeline with the
-/// job's observability capture armed on the calling thread, so remarks
-/// and trace events from concurrent jobs never interleave, and the bytes
-/// a `--connect` client receives come from the same code path as a local
-/// run's.
+/// CLI and server workers through runCompileJob, the parallel driver
+/// directly): runs the pipeline with the job's observability capture
+/// armed on the calling thread, so remarks and trace events from
+/// concurrent jobs never interleave, and the bytes a `--connect` client
+/// receives come from the same code path as a local run's.
 PipelineResult executeJob(const CompileJob &Job) {
   std::optional<RemarkEngine> RE;
   std::optional<ScopedThreadRemarkSink> SinkGuard;
@@ -357,8 +357,7 @@ size_t JobCache::size() const {
 
 std::vector<PipelineResult>
 srp::runPipelineParallel(const std::vector<CompileJob> &Jobs,
-                         unsigned Threads, const JobDoneFn &OnDone,
-                         const char *TrackPrefix) {
+                         unsigned Threads) {
   std::vector<PipelineResult> Results(Jobs.size());
   if (Jobs.empty())
     return Results;
@@ -374,8 +373,7 @@ srp::runPipelineParallel(const std::vector<CompileJob> &Jobs,
   // The single-threaded path stays on the caller's track.
   auto Worker = [&](unsigned WorkerId, bool Pooled) {
     if (Pooled && trace::enabled()) {
-      trace::setThreadName(std::string(TrackPrefix) + "/worker-" +
-                           std::to_string(WorkerId));
+      trace::setThreadName("pipeline/worker-" + std::to_string(WorkerId));
       trace::instant("job", "worker-start");
     }
     for (size_t I = Next.fetch_add(1, std::memory_order_relaxed);
@@ -388,8 +386,6 @@ srp::runPipelineParallel(const std::vector<CompileJob> &Jobs,
         Results[I] = executeJob(Jobs[I]);
       }
       ++NumParallelJobs;
-      if (OnDone)
-        OnDone(I, Results[I]);
       const int64_t Done = Completed.fetch_add(1, std::memory_order_relaxed);
       if (trace::enabled())
         trace::counter("job", "jobs-completed", "jobs", Done + 1);

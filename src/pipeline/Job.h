@@ -11,7 +11,7 @@
 ///
 ///   - the srpc one-shot CLI path (runCompileJob),
 ///   - the parallel workload driver (runPipelineParallel),
-///   - the compile server's batch dispatcher (src/server/Server.h),
+///   - the compile server's workers (runCompileJob, src/server/Server.h),
 ///
 /// replacing the old ad-hoc `(Source, PipelineOptions)` plumbing and the
 /// deprecated free runPipeline wrappers (deleted in this change).
@@ -36,7 +36,6 @@
 #include "pipeline/Pipeline.h"
 #include "pipeline/PipelineConfig.h"
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -173,26 +172,16 @@ private:
   JobCacheStats Stats;
 };
 
-/// Per-job completion hook for runPipelineParallel, invoked on the
-/// worker thread that finished the job, after its result is stored.
-/// Used by the compile server to stream responses as jobs finish
-/// instead of waiting for the whole batch.
-using JobDoneFn =
-    std::function<void(size_t Index, const PipelineResult &Result)>;
-
 /// Runs every job through the pipeline on a pool of \p Threads worker
 /// threads (0 = hardware concurrency, clamped to the job count;
 /// 1 = sequential in the calling thread). Results are returned in job
 /// order and are identical to running the jobs sequentially: jobs share
 /// no mutable state except the statistics registry, whose counters are
-/// atomic and accumulate order-independently. \p TrackPrefix names the
-/// pool's trace tracks ("<prefix>/worker-N"), so merged timelines tell
-/// this driver's workers apart from other subsystems' pools (the compile
-/// server passes "server").
+/// atomic and accumulate order-independently. Pooled workers trace onto
+/// "pipeline/worker-N" tracks, apart from the compile server's
+/// "server/worker-N".
 std::vector<PipelineResult>
-runPipelineParallel(const std::vector<CompileJob> &Jobs, unsigned Threads = 0,
-                    const JobDoneFn &OnDone = nullptr,
-                    const char *TrackPrefix = "pipeline");
+runPipelineParallel(const std::vector<CompileJob> &Jobs, unsigned Threads = 0);
 
 } // namespace srp
 

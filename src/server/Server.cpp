@@ -10,6 +10,7 @@
 #include "support/Timer.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -26,8 +27,6 @@ SRP_STATISTIC(NumServerConnections, "server", "connections",
               "Client connections accepted by the compile server");
 SRP_STATISTIC(NumServerJobs, "server", "jobs-submitted",
               "Compile jobs accepted by the compile server");
-SRP_STATISTIC(NumServerBatches, "server", "batches",
-              "Batches dispatched over the worker pool");
 SRP_STATISTIC(NumServerCacheHits, "server", "cache-hits",
               "Jobs answered from the shared job cache");
 SRP_STATISTIC(NumServerCacheMisses, "server", "cache-misses",
@@ -35,12 +34,12 @@ SRP_STATISTIC(NumServerCacheMisses, "server", "cache-misses",
 SRP_STATISTIC(NumServerBackpressure, "server", "backpressure-waits",
               "Times a connection reader blocked on a full job queue");
 SRP_HISTOGRAM(QueueWaitMicros, "server", "queue-wait-micros",
-              "Time a job spent queued before dispatch (us)");
+              "Time a job spent queued before a worker took it (us)");
 SRP_HISTOGRAM(ServiceMicros, "server", "service-micros",
               "Pipeline wall time of one served job (us), cache hits "
               "excluded");
 SRP_GAUGE(QueueDepth, "server", "queue-depth",
-          "Jobs currently waiting in the dispatch queue");
+          "Jobs currently waiting in the job queue");
 } // namespace
 
 /// One accepted client. Shared between its reader thread and any queued
@@ -56,13 +55,14 @@ struct CompileServer::Connection {
   }
 };
 
-std::string srp::server::serverStatsToJson(const ServerStats &S) {
+namespace {
+/// The "stats" op response body.
+json::Value serverStatsJson(const ServerStats &S) {
   json::Value R = json::Value::object();
   R.set("connections", json::Value::integer(int64_t(S.Connections)));
   R.set("jobs_submitted", json::Value::integer(int64_t(S.JobsSubmitted)));
   R.set("jobs_completed", json::Value::integer(int64_t(S.JobsCompleted)));
   R.set("jobs_failed", json::Value::integer(int64_t(S.JobsFailed)));
-  R.set("batches", json::Value::integer(int64_t(S.Batches)));
   R.set("protocol_errors", json::Value::integer(int64_t(S.ProtocolErrors)));
   R.set("backpressure_waits",
         json::Value::integer(int64_t(S.BackpressureWaits)));
@@ -86,15 +86,14 @@ std::string srp::server::serverStatsToJson(const ServerStats &S) {
   By.set("hit_rate", json::Value::number(S.decodeHitRate()));
   R.set("bytecode_cache", std::move(By));
   R.set("uptime_seconds", json::Value::number(S.UptimeSeconds));
-  return R.dump();
+  return R;
 }
+} // namespace
 
 CompileServer::CompileServer(ServerOptions O)
     : Opts(std::move(O)), Cache(Opts.CacheEntries) {
   if (!Opts.QueueCapacity)
     Opts.QueueCapacity = 1;
-  if (!Opts.MaxBatch)
-    Opts.MaxBatch = 1;
 }
 
 CompileServer::~CompileServer() {
@@ -139,38 +138,44 @@ bool CompileServer::start(std::string &Err) {
   Stopping.store(false);
   Running.store(true);
   AcceptThread = std::thread([this] { acceptLoop(); });
-  DispatchThread = std::thread([this] { dispatchLoop(); });
+  unsigned N = Opts.Threads ? Opts.Threads
+                            : std::max(1u, std::thread::hardware_concurrency());
+  for (unsigned I = 0; I != N; ++I)
+    Workers.emplace_back([this, I] { workerLoop(I); });
   return true;
 }
 
 void CompileServer::requestShutdown() {
-  Stopping.store(true);
+  {
+    std::lock_guard<std::mutex> Lock(QueueMu);
+    Stopping.store(true);
+  }
   QueueNotEmpty.notify_all();
   QueueNotFull.notify_all();
+  StopRequested.notify_all();
 }
 
 void CompileServer::wait() {
   if (!Running.load())
     return;
-  // Threads poll their fds with a timeout and re-check Stopping, so a
-  // blocked accept/read never outlives the flag by more than one tick.
-  while (!Stopping.load()) {
+  {
     std::unique_lock<std::mutex> Lock(QueueMu);
-    QueueNotEmpty.wait_for(Lock, std::chrono::milliseconds(200),
-                           [&] { return Stopping.load(); });
+    StopRequested.wait(Lock, [&] { return Stopping.load(); });
   }
-  if (AcceptThread.joinable())
-    AcceptThread.join();
-  if (DispatchThread.joinable())
-    DispatchThread.join();
+  // The accept loop and the readers poll their fds with a timeout and
+  // re-check Stopping, so a blocked accept/read never outlives the flag
+  // by more than one tick; the workers drain the queue first.
+  AcceptThread.join();
+  for (std::thread &W : Workers)
+    W.join();
+  Workers.clear();
+  std::list<Reader> Left;
   {
     std::lock_guard<std::mutex> Lock(ConnMu);
-    for (auto &C : Connections)
-      C->Closed.store(true);
+    Left.swap(Readers);
   }
-  for (std::thread &T : ConnThreads)
-    if (T.joinable())
-      T.join();
+  for (Reader &R : Left)
+    R.Thread.join();
   if (ListenFD >= 0) {
     ::close(ListenFD);
     ListenFD = -1;
@@ -189,6 +194,7 @@ ServerStats CompileServer::stats() const {
 
 void CompileServer::acceptLoop() {
   while (!Stopping.load()) {
+    reapReaders();
     pollfd PFD{ListenFD, POLLIN, 0};
     int N = ::poll(&PFD, 1, 200);
     if (N <= 0)
@@ -206,10 +212,24 @@ void CompileServer::acceptLoop() {
     if (Opts.Verbose)
       std::fprintf(stderr, "srpc-server: connection accepted\n");
     std::lock_guard<std::mutex> Lock(ConnMu);
-    Connections.push_back(Conn);
-    ConnThreads.emplace_back(
-        [this, Conn] { connectionLoop(Conn); });
+    Reader &R = Readers.emplace_back();
+    R.Thread = std::thread([this, &R, Conn = std::move(Conn)]() mutable {
+      // The socket closes when the last holder lets go: this reader, or
+      // the last queued job that still owes the client a response.
+      connectionLoop(std::move(Conn));
+      std::lock_guard<std::mutex> Lock(ConnMu);
+      R.Done = true;
+    });
   }
+}
+
+void CompileServer::reapReaders() {
+  std::lock_guard<std::mutex> Lock(ConnMu);
+  Readers.remove_if([](Reader &R) {
+    if (R.Done)
+      R.Thread.join(); // it has nothing left to do but return
+    return R.Done;
+  });
 }
 
 void CompileServer::connectionLoop(std::shared_ptr<Connection> Conn) {
@@ -266,11 +286,7 @@ void CompileServer::handleLine(const std::shared_ptr<Connection> &Conn,
   if (Op == "stats") {
     json::Value R = json::Value::object();
     R.set("ok", json::Value::boolean(true));
-    std::string StatsJson = serverStatsToJson(stats());
-    json::Value Body;
-    std::string ParseErr;
-    json::parse(StatsJson, Body, ParseErr);
-    R.set("stats", std::move(Body));
+    R.set("stats", serverStatsJson(stats()));
     respond(Conn, R.dump());
     return;
   }
@@ -351,86 +367,53 @@ bool CompileServer::enqueue(QueuedJob QJ) {
   return true;
 }
 
-void CompileServer::dispatchLoop() {
-  bool NamedTrack = false;
+void CompileServer::workerLoop(unsigned Id) {
+  if (trace::enabled())
+    trace::setThreadName("server/worker-" + std::to_string(Id));
   while (true) {
-    std::vector<QueuedJob> Batch;
+    QueuedJob QJ;
     {
       std::unique_lock<std::mutex> Lock(QueueMu);
-      QueueNotEmpty.wait_for(Lock, std::chrono::milliseconds(200), [&] {
-        return Stopping.load() || !Queue.empty();
-      });
-      if (Queue.empty()) {
-        if (Stopping.load())
-          return; // drained: accepted jobs always get a response
-        continue;
-      }
-      unsigned N = std::min<size_t>(Queue.size(), Opts.MaxBatch);
-      Batch.reserve(N);
-      for (unsigned I = 0; I != N; ++I) {
-        Batch.push_back(std::move(Queue.front()));
-        Queue.pop_front();
-      }
+      QueueNotEmpty.wait(Lock,
+                         [&] { return Stopping.load() || !Queue.empty(); });
+      if (Queue.empty())
+        return; // drained: accepted jobs always get a response
+      QJ = std::move(Queue.front());
+      Queue.pop_front();
       QueueDepth.set(static_cast<int64_t>(Queue.size()));
-      QueueNotFull.notify_all();
     }
-
-    const double DequeuedAt = monotonicSeconds();
-    for (const QueuedJob &QJ : Batch)
-      QueueWaitMicros.observeSeconds(DequeuedAt - QJ.EnqueuedAt);
-
-    if (trace::enabled() && !NamedTrack) {
-      trace::setThreadName("server/dispatch");
-      NamedTrack = true;
-    }
-    ++NumServerBatches;
-    {
-      std::lock_guard<std::mutex> Lock(StatsMu);
-      ++Stats.Batches;
-    }
-
-    std::vector<CompileJob> Jobs;
-    Jobs.reserve(Batch.size());
-    for (const QueuedJob &QJ : Batch)
-      Jobs.push_back(QJ.Job);
-
-    TraceSpan BatchSpan;
-    if (trace::enabled())
-      BatchSpan.begin("server",
-                      "batch(" + std::to_string(Jobs.size()) + ")");
-
-    // One response per job as it finishes, on the worker that ran it —
-    // the batch is a scheduling unit, not a response barrier. Workers
-    // carry server-prefixed trace tracks ("server/worker-N") so merged
-    // timelines tell them apart from local pipeline pools.
-    runPipelineParallel(
-        Jobs, Opts.Threads,
-        [&](size_t I, const PipelineResult &R) {
-          const QueuedJob &QJ = Batch[I];
-          ServiceMicros.observeSeconds(R.WallSeconds);
-          std::string Report = resultToJson(R, QJ.Job);
-          JobCache::EntryPtr E = JobCache::makeEntry(QJ.Job, R, Report);
-          Cache.insert(QJ.Job, E);
-          {
-            std::lock_guard<std::mutex> Lock(StatsMu);
-            ++Stats.JobsCompleted;
-            if (!R.Ok)
-              ++Stats.JobsFailed;
-            Stats.AnalysisHits += R.Analysis.Hits;
-            Stats.AnalysisMisses += R.Analysis.Misses;
-            Stats.DecodeCacheHits += R.RunBefore.Interp.DecodeCacheHits +
-                                     R.RunAfter.Interp.DecodeCacheHits;
-            Stats.FunctionsDecoded += R.RunBefore.Interp.FunctionsDecoded +
-                                      R.RunAfter.Interp.FunctionsDecoded;
-          }
-          if (Opts.Verbose)
-            std::fprintf(stderr, "srpc-server: job '%s' %s\n",
-                         QJ.Job.Name.c_str(), R.Ok ? "ok" : "FAILED");
-          respond(QJ.Conn, encodeCompileResponse(QJ.Id, *E,
-                                                 /*CacheHit=*/false));
-        },
-        /*TrackPrefix=*/"server");
+    QueueNotFull.notify_one();
+    QueueWaitMicros.observeSeconds(monotonicSeconds() - QJ.EnqueuedAt);
+    runJob(QJ);
   }
+}
+
+void CompileServer::runJob(const QueuedJob &QJ) {
+  TraceSpan Span;
+  if (trace::enabled())
+    Span.begin("job", QJ.Job.Name);
+  JobResult Out = runCompileJob(QJ.Job);
+  Span.end();
+  const PipelineResult &R = Out.Pipeline;
+  ServiceMicros.observeSeconds(R.WallSeconds);
+  JobCache::EntryPtr E = JobCache::makeEntry(QJ.Job, R, Out.ReportJson);
+  Cache.insert(QJ.Job, E);
+  {
+    std::lock_guard<std::mutex> Lock(StatsMu);
+    ++Stats.JobsCompleted;
+    if (!R.Ok)
+      ++Stats.JobsFailed;
+    Stats.AnalysisHits += R.Analysis.Hits;
+    Stats.AnalysisMisses += R.Analysis.Misses;
+    Stats.DecodeCacheHits += R.RunBefore.Interp.DecodeCacheHits +
+                             R.RunAfter.Interp.DecodeCacheHits;
+    Stats.FunctionsDecoded += R.RunBefore.Interp.FunctionsDecoded +
+                              R.RunAfter.Interp.FunctionsDecoded;
+  }
+  if (Opts.Verbose)
+    std::fprintf(stderr, "srpc-server: job '%s' %s\n", QJ.Job.Name.c_str(),
+                 R.Ok ? "ok" : "FAILED");
+  respond(QJ.Conn, encodeCompileResponse(QJ.Id, *E, /*CacheHit=*/false));
 }
 
 void CompileServer::respond(const std::shared_ptr<Connection> &Conn,
@@ -460,10 +443,9 @@ int srp::server::serveForever(const ServerOptions &Opts, bool Quiet) {
   }
   if (!Quiet)
     std::fprintf(stderr,
-                 "srpc: serving on %s (threads=%u, queue=%u, batch=%u, "
-                 "cache=%zu)\n",
+                 "srpc: serving on %s (threads=%u, queue=%u, cache=%zu)\n",
                  Opts.SocketPath.c_str(), Opts.Threads, Opts.QueueCapacity,
-                 Opts.MaxBatch, Opts.CacheEntries);
+                 Opts.CacheEntries);
   Server.wait();
   if (!Quiet) {
     ServerStats S = Server.stats();

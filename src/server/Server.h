@@ -5,16 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// `srpc --serve`: the pipeline as a long-running sharded service. A
+/// `srpc --serve`: the pipeline as a long-running service. A
 /// CompileServer listens on a unix-domain socket, speaks the
-/// newline-delimited JSON protocol of server/Protocol.h, and dispatches
-/// accepted compile jobs over the existing runPipelineParallel worker
-/// pool with batched scheduling:
+/// newline-delimited JSON protocol of server/Protocol.h, and runs
+/// accepted compile jobs on a fixed pool of workers:
 ///
-///   connection readers --> bounded job queue --> batch dispatcher
-///        (backpressure)        (FIFO)          (runPipelineParallel,
-///                                               one response per job as
-///                                               it finishes)
+///   connection readers --> bounded job queue --> N workers
+///        (backpressure)        (FIFO)          (runCompileJob, one job
+///                                               each, one response per
+///                                               job as it finishes)
 ///
 /// The bounded queue is the backpressure mechanism: when it is full,
 /// connection readers block before reading the next request, so a
@@ -39,6 +38,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -53,12 +53,10 @@ struct ServerOptions {
   /// is replaced (stale sockets from a crashed server would otherwise
   /// wedge restarts).
   std::string SocketPath = "/tmp/srpc.sock";
-  /// Worker threads per dispatched batch (0 = hardware concurrency).
+  /// Worker threads (0 = hardware concurrency).
   unsigned Threads = 0;
   /// Bounded queue capacity; readers block when it is full.
   unsigned QueueCapacity = 64;
-  /// Maximum jobs drained into one runPipelineParallel batch.
-  unsigned MaxBatch = 16;
   /// JobCache capacity (finished results kept for resubmission).
   size_t CacheEntries = 128;
   /// Log connection/job lines to stderr.
@@ -73,7 +71,6 @@ struct ServerStats {
   uint64_t JobsSubmitted = 0; ///< compile requests accepted
   uint64_t JobsCompleted = 0; ///< pipeline runs finished (Ok or not)
   uint64_t JobsFailed = 0;    ///< finished with Ok = false
-  uint64_t Batches = 0;       ///< runPipelineParallel dispatches
   uint64_t ProtocolErrors = 0;
   uint64_t BackpressureWaits = 0; ///< times a reader blocked on a full queue
   JobCacheStats Cache;
@@ -95,9 +92,6 @@ struct ServerStats {
   }
 };
 
-/// Renders \p S as a JSON object (the "stats" op response body).
-std::string serverStatsToJson(const ServerStats &S);
-
 class CompileServer {
 public:
   explicit CompileServer(ServerOptions Opts);
@@ -106,7 +100,7 @@ public:
   CompileServer(const CompileServer &) = delete;
   CompileServer &operator=(const CompileServer &) = delete;
 
-  /// Binds the socket and starts the accept + dispatcher threads.
+  /// Binds the socket and starts the accept thread and the workers.
   /// Returns false with \p Err set on socket errors.
   bool start(std::string &Err);
 
@@ -129,10 +123,18 @@ private:
     CompileJob Job;
     double EnqueuedAt = 0; ///< feeds the server.queue-wait-micros histogram
   };
+  /// A connection's reader thread; Done is set under ConnMu once the
+  /// reader has let go of its connection, so the accept loop can join it.
+  struct Reader {
+    std::thread Thread;
+    bool Done = false;
+  };
 
   void acceptLoop();
   void connectionLoop(std::shared_ptr<Connection> Conn);
-  void dispatchLoop();
+  void reapReaders();
+  void workerLoop(unsigned Id);
+  void runJob(const QueuedJob &QJ);
   void handleLine(const std::shared_ptr<Connection> &Conn,
                   const std::string &Line);
   bool enqueue(QueuedJob QJ); ///< blocks on full queue; false on shutdown
@@ -145,20 +147,22 @@ private:
   std::atomic<bool> Running{false};
   std::atomic<bool> Stopping{false};
 
-  std::thread AcceptThread;
-  std::thread DispatchThread;
-  std::mutex ConnMu;
-  std::vector<std::shared_ptr<Connection>> Connections;
-  std::vector<std::thread> ConnThreads;
-
+  /// Stopping is set under QueueMu, so none of these conditions can miss
+  /// it. Only wait() sleeps on StopRequested: a worker or a reader that
+  /// shared it could absorb the notify meant for the other.
   std::mutex QueueMu;
-  std::condition_variable QueueNotFull, QueueNotEmpty;
+  std::condition_variable QueueNotFull, QueueNotEmpty, StopRequested;
   std::deque<QueuedJob> Queue;
 
   JobCache Cache;
 
   mutable std::mutex StatsMu;
   ServerStats Stats;
+
+  std::thread AcceptThread;
+  std::vector<std::thread> Workers;
+  std::mutex ConnMu;
+  std::list<Reader> Readers;
 };
 
 /// Convenience for `srpc --serve`: start, print one "listening" line

@@ -287,7 +287,7 @@ int main(int argc, char **argv) {
              return !V.empty();
            });
   OP.value("threads", "<n>",
-           "with -serve: worker threads per batch (0 = all cores)",
+           "with -serve: worker threads (0 = all cores)",
            [&](const std::string &V) {
              return parseUnsigned(V, SrvOpts.Threads);
            });
@@ -296,12 +296,6 @@ int main(int argc, char **argv) {
            [&](const std::string &V) {
              return parseUnsigned(V, SrvOpts.QueueCapacity) &&
                     SrvOpts.QueueCapacity > 0;
-           });
-  OP.value("batch", "<n>",
-           "with -serve: max jobs dispatched per worker-pool batch",
-           [&](const std::string &V) {
-             return parseUnsigned(V, SrvOpts.MaxBatch) &&
-                    SrvOpts.MaxBatch > 0;
            });
   OP.value("job-cache", "<n>",
            "with -serve: shared result-cache capacity in jobs",
@@ -338,8 +332,8 @@ int main(int argc, char **argv) {
   }
 
   if (Serve) {
-    // Trace the server's lifetime: worker tracks (worker-N), the
-    // dispatcher track, and per-job spans land in one timeline.
+    // Trace the server's lifetime: per-job spans on the worker tracks
+    // (server/worker-N) land in one timeline.
     if (!TraceOutPath.empty())
       trace::start();
     int Rc = server::serveForever(SrvOpts);

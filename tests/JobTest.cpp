@@ -14,9 +14,7 @@
 
 #include "pipeline/Job.h"
 #include "support/JSON.h"
-#include <algorithm>
 #include <gtest/gtest.h>
-#include <mutex>
 
 using namespace srp;
 
@@ -282,27 +280,6 @@ TEST(JobTest, JobCacheEvictsLeastRecentlyUsed) {
   EXPECT_NE(Cache.lookup(C), nullptr);
   EXPECT_EQ(Cache.size(), 2u);
   EXPECT_EQ(Cache.stats().Evictions, 1u);
-}
-
-TEST(JobTest, ParallelDriverInvokesCompletionHook) {
-  std::vector<CompileJob> Jobs;
-  for (PromotionMode M :
-       {PromotionMode::None, PromotionMode::Paper, PromotionMode::LoopBaseline})
-    Jobs.push_back(makeJob(CountLoop, M, promotionModeName(M)));
-
-  std::mutex Mu;
-  std::vector<size_t> Seen;
-  std::vector<PipelineResult> Results =
-      runPipelineParallel(Jobs, 2, [&](size_t I, const PipelineResult &R) {
-        std::lock_guard<std::mutex> Lock(Mu);
-        EXPECT_TRUE(R.Ok);
-        Seen.push_back(I);
-      });
-  ASSERT_EQ(Results.size(), Jobs.size());
-  for (const PipelineResult &R : Results)
-    EXPECT_TRUE(R.Ok);
-  std::sort(Seen.begin(), Seen.end());
-  EXPECT_EQ(Seen, (std::vector<size_t>{0, 1, 2}));
 }
 
 } // namespace

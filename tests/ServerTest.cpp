@@ -8,8 +8,10 @@
 /// In-process CompileServer tests: wire-protocol round trips, concurrent
 /// jobs with overlapping function names staying ExecutionResult-identical
 /// to sequential one-shot runs (per-job isolation), job-cache hits over
-/// the wire, bounded-queue backpressure, protocol-error handling, and the
-/// ping/stats/shutdown lifecycle.
+/// the wire, bounded-queue backpressure, protocol-error handling, the
+/// ping/stats/shutdown lifecycle, and the worker pool's liveness: prompt
+/// answers while a thread sits in wait(), a short job overtaking a long
+/// one, and sockets released once their clients hang up.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,9 +20,14 @@
 #include "server/Server.h"
 #include "support/JSON.h"
 #include "support/Remarks.h"
+#include "support/Statistics.h"
+#include "support/Timer.h"
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <dirent.h>
 #include <gtest/gtest.h>
 #include <mutex>
 #include <string>
@@ -84,6 +91,23 @@ struct RunningServer {
   }
   bool Started = true;
 };
+
+/// Open file descriptors of this process.
+size_t openFdCount() {
+  DIR *D = ::opendir("/proc/self/fd");
+  if (!D)
+    return 0;
+  size_t N = 0;
+  while (const dirent *E = ::readdir(D))
+    N += E->d_name[0] != '.';
+  ::closedir(D);
+  return N;
+}
+
+/// Jobs that have left a server queue so far, process-wide.
+uint64_t jobsDequeued() {
+  return stats::metrics().Histograms["server.queue-wait-micros"].Count;
+}
 
 TEST(ServerTest, ProtocolRequestRoundTrip) {
   CompileJob J = makeJob(overlappingProgram(0), PromotionMode::Superblock,
@@ -166,7 +190,6 @@ TEST(ServerTest, ConcurrentJobsMatchSequentialOneShot) {
   O.SocketPath = testSocketPath("parity");
   O.Threads = 2;
   O.QueueCapacity = 8;
-  O.MaxBatch = 4;
   O.CacheEntries = 1; // all jobs distinct: every one runs the pipeline
   RunningServer S(O);
   ASSERT_TRUE(S.Started);
@@ -206,7 +229,6 @@ TEST(ServerTest, ConcurrentJobsMatchSequentialOneShot) {
   EXPECT_EQ(St.JobsSubmitted, Jobs.size());
   EXPECT_EQ(St.JobsCompleted, Jobs.size());
   EXPECT_EQ(St.JobsFailed, 0u);
-  EXPECT_GE(St.Batches, 1u);
 }
 
 TEST(ServerTest, CacheHitReturnsIdenticalReport) {
@@ -418,7 +440,6 @@ TEST(ServerTest, BackpressureBlocksWithoutDroppingJobs) {
   O.SocketPath = testSocketPath("pressure");
   O.Threads = 1;
   O.QueueCapacity = 1;
-  O.MaxBatch = 1;
   O.CacheEntries = 1;
   RunningServer S(O);
   ASSERT_TRUE(S.Started);
@@ -661,6 +682,112 @@ TEST(ServerTest, MetricsOpServesPrometheusSnapshot) {
   std::string Prom2;
   ASSERT_TRUE(Cl.requestMetrics(Prom2, Err)) << Err;
   EXPECT_EQ(Prom, Prom2);
+}
+
+// `srpc -serve`'s main thread sits in wait(). It once slept on the
+// condition the job runner slept on and absorbed the enqueue's wake-up, so
+// every job waited out a 200 ms poll before it ran.
+TEST(ServerTest, JobsAreAnsweredPromptlyWhileAThreadWaits) {
+  ServerOptions O;
+  O.SocketPath = testSocketPath("waiter");
+  O.Threads = 1;
+  RunningServer S(O);
+  ASSERT_TRUE(S.Started);
+  std::thread Waiter([&] { S.Srv.wait(); });
+
+  Client Cl;
+  std::string Err;
+  EXPECT_TRUE(Cl.connect(O.SocketPath, Err)) << Err;
+  for (int I = 0; I != 10 && Cl.connected(); ++I) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    // A distinct leading comment per job misses the job cache.
+    CompileJob J = makeJob("// job " + std::to_string(I) +
+                               "\nint main() { print(1); return 0; }\n",
+                           PromotionMode::Paper, "quick.mc");
+    CompileResponse R;
+    const double T0 = monotonicSeconds();
+    EXPECT_TRUE(Cl.compile(J, R, Err)) << Err;
+    const double Ms = (monotonicSeconds() - T0) * 1e3;
+    EXPECT_TRUE(R.Ok && !R.CacheHit) << "job " << I;
+    EXPECT_LT(Ms, 100.0) << "job " << I;
+  }
+  S.Srv.requestShutdown();
+  Waiter.join();
+}
+
+// With two workers, a short job submitted once a long job has left the
+// queue runs beside it. The old dispatcher ran a lone queued job inline
+// and held every later one until it finished.
+TEST(ServerTest, ShortJobOvertakesLongJob) {
+  ServerOptions O;
+  O.SocketPath = testSocketPath("overtake");
+  O.Threads = 2;
+  RunningServer S(O);
+  ASSERT_TRUE(S.Started);
+
+  CompileJob Long = makeJob("int main() {\n"
+                            "  int i;\n"
+                            "  int s = 0;\n"
+                            "  for (i = 0; i < 1000000; i++) s = s + (i & 7);\n"
+                            "  print(s);\n"
+                            "  return 0;\n"
+                            "}\n",
+                            PromotionMode::None, "long.mc");
+  Long.Opts.Interp = InterpEngine::Walk;
+  const uint64_t Dequeued = jobsDequeued();
+  std::atomic<bool> LongAnswered{false};
+  CompileResponse LongResp;
+  std::string LongErr;
+  std::thread LongClient([&] {
+    Client Cl;
+    if (Cl.connect(O.SocketPath, LongErr))
+      Cl.compile(Long, LongResp, LongErr);
+    LongAnswered.store(true);
+  });
+  const double Deadline = monotonicSeconds() + 30;
+  while (jobsDequeued() == Dequeued && monotonicSeconds() < Deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_GT(jobsDequeued(), Dequeued) << "the long job never left the queue";
+
+  Client Cl;
+  std::string Err;
+  CompileResponse Short;
+  EXPECT_TRUE(Cl.connect(O.SocketPath, Err) &&
+              Cl.compile(makeJob(overlappingProgram(1), PromotionMode::Paper,
+                                 "short.mc"),
+                         Short, Err))
+      << Err;
+  EXPECT_FALSE(LongAnswered.load()) << "the short job waited for the long one";
+  EXPECT_TRUE(Short.Ok);
+  LongClient.join();
+  EXPECT_TRUE(LongErr.empty()) << LongErr;
+  EXPECT_TRUE(LongResp.Ok);
+}
+
+// A reader that saw its client hang up once kept the socket open until
+// shutdown: one leaked descriptor per finished connection.
+TEST(ServerTest, FinishedConnectionsReleaseTheirSockets) {
+  ServerOptions O;
+  O.SocketPath = testSocketPath("reap");
+  O.Threads = 1;
+  RunningServer S(O);
+  ASSERT_TRUE(S.Started);
+
+  const size_t Baseline = openFdCount();
+  ASSERT_GT(Baseline, 0u);
+  const unsigned NumClients = 50;
+  for (unsigned I = 0; I != NumClients; ++I) {
+    Client Cl;
+    std::string Err;
+    ASSERT_TRUE(Cl.connect(O.SocketPath, Err)) << Err;
+    ASSERT_TRUE(Cl.ping(Err)) << Err;
+  }
+  // Each reader sees its client's EOF at once and exits.
+  const double Deadline = monotonicSeconds() + 5;
+  while (openFdCount() > Baseline && monotonicSeconds() < Deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_EQ(openFdCount(), Baseline);
+  EXPECT_EQ(S.Srv.stats().Connections, NumClients);
 }
 
 TEST(ServerTest, PingStatsShutdownLifecycle) {

@@ -253,7 +253,7 @@ def main():
 
     server = subprocess.Popen(
         [args.srpc, "--serve", f"--socket={args.socket}",
-         "--threads=2", "--queue=8", "--batch=4"],
+         "--threads=2", "--queue=8"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     try:
         if not check(wait_for_server(args), "server never answered --ping"):

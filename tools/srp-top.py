@@ -8,7 +8,7 @@ screen:
 
     srp-top  /tmp/srpc.sock        up 00:03:12      2026-08-07 12:00:00
     jobs     submitted 120   completed 120   failed 0   1.7 jobs/s
-    queue    depth 0   backpressure waits 0   batches 31
+    queue    depth 0   backpressure waits 0
     cache    job 83.3% (100/120)   analysis 64.1%   decode 71.0%
     service  p50~512us  p90~2ms  max<8ms   n=120
              1us ▁▁▂▅█▇▃▂▁  64ms
@@ -161,8 +161,7 @@ def render(sock_path, stats, series, prev):
     depth = series.get("srp_server_queue_depth", {})
     depth = int(next(iter(depth.values()), 0))
     lines.append(f"queue    depth {depth}   backpressure waits "
-                 f"{stats.get('backpressure_waits', 0)}   "
-                 f"batches {stats.get('batches', 0)}")
+                 f"{stats.get('backpressure_waits', 0)}")
 
     cache = stats.get("job_cache", {})
     hits, misses = cache.get("hits", 0), cache.get("misses", 0)
