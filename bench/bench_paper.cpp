@@ -613,9 +613,10 @@ void validatorOverhead() {
 //===-- BENCH_paper.json --------------------------------------------------===//
 
 /// The committed document. "counts" holds what no engine choice can move
-/// and --check compares; "engine_counts" and "timings_ns" are recorded.
+/// and --check compares; "engine_counts" is recorded. It holds no
+/// timings: one run's numbers would rewrite it with noise.
 struct Doc {
-  std::vector<std::pair<std::string, uint64_t>> Counts, EngineCounts, Nanos;
+  std::vector<std::pair<std::string, uint64_t>> Counts, EngineCounts;
 };
 
 Doc collect() {
@@ -670,9 +671,6 @@ Doc collect() {
       add(P + "phis_deleted", S.PhisDeleted);
       add(P + "defs_deleted", S.DefsDeleted);
       add(P + "uses_renamed", S.UsesRenamed);
-      D.Nanos.emplace_back(P + "min", uint64_t(U.Time[PerDef].Min * 1e9));
-      D.Nanos.emplace_back(P + "median",
-                           uint64_t(U.Time[PerDef].Median * 1e9));
     }
   return D;
 }
@@ -690,8 +688,7 @@ void writeJson(const Doc &D) {
     std::printf("\n  }%s\n", End);
   };
   section("counts", D.Counts, ",");
-  section("engine_counts", D.EngineCounts, ",");
-  section("timings_ns", D.Nanos, "\n}");
+  section("engine_counts", D.EngineCounts, "\n}");
 }
 
 /// Compares this run's counts with \p Path's; returns how many differ.

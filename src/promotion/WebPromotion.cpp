@@ -420,12 +420,16 @@ WebProfit srp::computeProfit(const SSAWeb &W, const ProfileInfo &PI,
     if (W.definedByWebStore(N) || W.definedByWebPhi(N))
       P.LoadBenefit += static_cast<int64_t>(PI.frequency(Ld));
   }
-  for (const PlannedOp &Op : planLeafLoads(W))
+  const std::vector<PlannedOp> Loads = planLeafLoads(W);
+  P.LoadsAdded = Loads.size();
+  for (const PlannedOp &Op : Loads)
     P.LoadCost += static_cast<int64_t>(PI.frequency(Op.At));
 
   for (StoreInst *St : W.StoreRefs)
     P.StoreBenefit += static_cast<int64_t>(PI.frequency(St));
-  for (const PlannedOp &Op : planCompensatingStores(W, DT, PI, Opts))
+  const std::vector<PlannedOp> Stores = planCompensatingStores(W, DT, PI, Opts);
+  P.StoresAdded = Stores.size();
+  for (const PlannedOp &Op : Stores)
     P.StoreCost += static_cast<int64_t>(PI.frequency(Op.At));
   if (Opts.CountBoundaryOps) {
     // Tail stores at interval exits (function returns are already counted
@@ -498,9 +502,8 @@ PromotionStats srp::promoteInWeb(SSAWeb &W, Function &F,
             .arg("aliased-loads", W.AliasedLoadRefs.size())
             .arg("aliased-stores", W.AliasedStoreRefs.size())
             .arg("phis", W.Phis.size())
-            .arg("loads-added", planLeafLoads(W).size())
-            .arg("stores-added",
-                 planCompensatingStores(W, DT, PI, Opts).size())
+            .arg("loads-added", Profit.LoadsAdded)
+            .arg("stores-added", Profit.StoresAdded)
             .arg("load-benefit", Profit.LoadBenefit)
             .arg("load-cost", Profit.LoadCost)
             .arg("store-benefit", Profit.StoreBenefit)

@@ -36,6 +36,8 @@ struct WebProfit {
   int64_t LoadCost = 0;     ///< freq of loads added at phi leaves (+preheader)
   int64_t StoreBenefit = 0; ///< freq of stores deleted
   int64_t StoreCost = 0;    ///< freq of stores added (+ interval tails)
+  size_t LoadsAdded = 0;    ///< size of the loads-added plan
+  size_t StoresAdded = 0;   ///< size of the stores-added plan
   bool RemoveStores = false;
 
   int64_t loadProfit() const { return LoadBenefit - LoadCost; }

@@ -14,6 +14,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <list>
+#include <optional>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -32,7 +34,7 @@ SRP_STATISTIC(NumServerCacheHits, "server", "cache-hits",
 SRP_STATISTIC(NumServerCacheMisses, "server", "cache-misses",
               "Jobs that required a pipeline run");
 SRP_STATISTIC(NumServerBackpressure, "server", "backpressure-waits",
-              "Times a connection reader blocked on a full job queue");
+              "Compile jobs held back because the job queue was full");
 SRP_HISTOGRAM(QueueWaitMicros, "server", "queue-wait-micros",
               "Time a job spent queued before a worker took it (us)");
 SRP_HISTOGRAM(ServiceMicros, "server", "service-micros",
@@ -42,17 +44,15 @@ SRP_GAUGE(QueueDepth, "server", "queue-depth",
           "Jobs currently waiting in the job queue");
 } // namespace
 
-/// One accepted client. Shared between its reader thread and any queued
-/// jobs still owing it a response; writes are serialised by WriteMu.
+/// One accepted client. Only the I/O thread touches it; a queued job
+/// carries its address, so it is closed once the client has hung up and
+/// no job still owes it a response.
 struct CompileServer::Connection {
   int FD = -1;
-  std::mutex WriteMu;
-  std::atomic<bool> Closed{false};
-
-  ~Connection() {
-    if (FD >= 0)
-      ::close(FD);
-  }
+  std::string In, Out; ///< unparsed requests; unsent responses
+  unsigned Owed = 0;   ///< jobs queued or running for this client
+  bool HungUp = false; ///< the peer is gone: read and send nothing more
+  std::optional<QueuedJob> Held; ///< a compile job that found the queue full
 };
 
 namespace {
@@ -99,6 +99,9 @@ CompileServer::CompileServer(ServerOptions O)
 CompileServer::~CompileServer() {
   requestShutdown();
   wait();
+  for (int FD : WakeFD)
+    if (FD >= 0)
+      ::close(FD);
 }
 
 bool CompileServer::start(std::string &Err) {
@@ -109,7 +112,11 @@ bool CompileServer::start(std::string &Err) {
     Err = "socket path too long: " + Opts.SocketPath;
     return false;
   }
-  ListenFD = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (WakeFD[0] < 0 && ::socketpair(AF_UNIX, SOCK_STREAM, 0, WakeFD) < 0) {
+    Err = std::string("socketpair: ") + std::strerror(errno);
+    return false;
+  }
+  ListenFD = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (ListenFD < 0) {
     Err = std::string("socket: ") + std::strerror(errno);
     return false;
@@ -135,9 +142,9 @@ bool CompileServer::start(std::string &Err) {
     return false;
   }
   StartedAt = monotonicSeconds();
-  Stopping.store(false);
+  Stopping = false;
   Running.store(true);
-  AcceptThread = std::thread([this] { acceptLoop(); });
+  IOThread = std::thread([this] { ioLoop(); });
   unsigned N = Opts.Threads ? Opts.Threads
                             : std::max(1u, std::thread::hardware_concurrency());
   for (unsigned I = 0; I != N; ++I)
@@ -148,38 +155,29 @@ bool CompileServer::start(std::string &Err) {
 void CompileServer::requestShutdown() {
   {
     std::lock_guard<std::mutex> Lock(QueueMu);
-    Stopping.store(true);
+    Stopping = true;
   }
   QueueNotEmpty.notify_all();
-  QueueNotFull.notify_all();
-  StopRequested.notify_all();
+  wake();
+}
+
+void CompileServer::wake() {
+  // A full wake socket already holds a wake-up the I/O thread has not
+  // taken, so a send that would block is dropped.
+  ::send(WakeFD[1], "w", 1, MSG_DONTWAIT | MSG_NOSIGNAL);
 }
 
 void CompileServer::wait() {
   if (!Running.load())
     return;
-  {
-    std::unique_lock<std::mutex> Lock(QueueMu);
-    StopRequested.wait(Lock, [&] { return Stopping.load(); });
-  }
-  // The accept loop and the readers poll their fds with a timeout and
-  // re-check Stopping, so a blocked accept/read never outlives the flag
-  // by more than one tick; the workers drain the queue first.
-  AcceptThread.join();
+  // The I/O thread returns once shutdown is requested and every queued
+  // job has been answered, so the workers find the queue empty.
+  IOThread.join();
   for (std::thread &W : Workers)
     W.join();
   Workers.clear();
-  std::list<Reader> Left;
-  {
-    std::lock_guard<std::mutex> Lock(ConnMu);
-    Left.swap(Readers);
-  }
-  for (Reader &R : Left)
-    R.Thread.join();
-  if (ListenFD >= 0) {
-    ::close(ListenFD);
-    ListenFD = -1;
-  }
+  ::close(ListenFD);
+  ListenFD = -1;
   ::unlink(Opts.SocketPath.c_str());
   Running.store(false);
 }
@@ -192,85 +190,119 @@ ServerStats CompileServer::stats() const {
   return S;
 }
 
-void CompileServer::acceptLoop() {
-  while (!Stopping.load()) {
-    reapReaders();
-    pollfd PFD{ListenFD, POLLIN, 0};
-    int N = ::poll(&PFD, 1, 200);
-    if (N <= 0)
-      continue;
-    int FD = ::accept(ListenFD, nullptr, nullptr);
-    if (FD < 0)
-      continue;
-    auto Conn = std::make_shared<Connection>();
-    Conn->FD = FD;
-    ++NumServerConnections;
+void CompileServer::ioLoop() {
+  std::list<Connection> Conns;
+  std::vector<pollfd> Polled;
+  std::vector<std::pair<Connection *, std::string>> Finished;
+  bool AtFdLimit = false;
+  char Chunk[1 << 16];
+  auto HangUp = [](Connection &C) {
+    C.HungUp = true;
+    C.Out.clear();
+    C.Held.reset();
+  };
+  for (;;) {
+    bool Stop;
     {
-      std::lock_guard<std::mutex> Lock(StatsMu);
-      ++Stats.Connections;
+      std::lock_guard<std::mutex> Lock(QueueMu);
+      Finished.swap(Done);
+      Stop = Stopping;
     }
-    if (Opts.Verbose)
-      std::fprintf(stderr, "srpc-server: connection accepted\n");
-    std::lock_guard<std::mutex> Lock(ConnMu);
-    Reader &R = Readers.emplace_back();
-    R.Thread = std::thread([this, &R, Conn = std::move(Conn)]() mutable {
-      // The socket closes when the last holder lets go: this reader, or
-      // the last queued job that still owes the client a response.
-      connectionLoop(std::move(Conn));
-      std::lock_guard<std::mutex> Lock(ConnMu);
-      R.Done = true;
-    });
-  }
-}
+    for (auto &[C, Line] : Finished) {
+      --C->Owed;
+      if (!C->HungUp)
+        C->Out += Line;
+    }
+    Finished.clear();
 
-void CompileServer::reapReaders() {
-  std::lock_guard<std::mutex> Lock(ConnMu);
-  Readers.remove_if([](Reader &R) {
-    if (R.Done)
-      R.Thread.join(); // it has nothing left to do but return
-    return R.Done;
-  });
-}
+    // One request per connection per round, so a pipelining client cannot
+    // starve the others; then send each client what it will take.
+    bool Busy = false;
+    for (auto It = Conns.begin(); It != Conns.end();) {
+      Connection &C = *It;
+      std::string Reply;
+      size_t NL = C.In.find('\n');
+      if (C.Held) {
+        Reply = queueHeld(C);
+      } else if (!C.HungUp && C.Out.empty() && NL != std::string::npos) {
+        std::string Line = C.In.substr(0, NL);
+        C.In.erase(0, NL + 1);
+        if (!Line.empty() && Line.back() == '\r')
+          Line.pop_back();
+        if (!Line.empty())
+          Reply = handleLine(C, Line);
+      }
+      if (!Reply.empty())
+        C.Out += Reply + "\n";
+      if (!C.HungUp && !C.Out.empty()) {
+        ssize_t N = ::send(C.FD, C.Out.data(), C.Out.size(), MSG_NOSIGNAL);
+        if (N >= 0)
+          C.Out.erase(0, size_t(N));
+        else if (errno != EAGAIN && errno != EWOULDBLOCK)
+          HangUp(C);
+      }
+      if (C.HungUp && !C.Owed) {
+        ::close(C.FD);
+        It = Conns.erase(It);
+        AtFdLimit = false;
+        continue;
+      }
+      Busy |= C.Owed || !C.Out.empty();
+      ++It;
+    }
+    if (Stop && !Busy)
+      break; // every accepted job has been answered
 
-void CompileServer::connectionLoop(std::shared_ptr<Connection> Conn) {
-  std::string Buf;
-  char Chunk[4096];
-  while (!Stopping.load() && !Conn->Closed.load()) {
-    pollfd PFD{Conn->FD, POLLIN, 0};
-    int N = ::poll(&PFD, 1, 200);
-    if (N <= 0)
+    // A connection with a request to serve makes the next round start at
+    // once; otherwise only a socket or wake() starts it.
+    bool Ready = false;
+    Polled.assign({{WakeFD[0], POLLIN, 0},
+                   {Stop || AtFdLimit ? -1 : ListenFD, POLLIN, 0}});
+    for (const Connection &C : Conns) {
+      bool HasLine = C.In.find('\n') != std::string::npos;
+      Ready |= !C.HungUp && !C.Held && C.Out.empty() && HasLine;
+      short Events = !C.Out.empty() ? POLLOUT : C.Held || HasLine ? 0 : POLLIN;
+      Polled.push_back({C.HungUp ? -1 : C.FD, Events, 0});
+    }
+    if (::poll(Polled.data(), Polled.size(), Ready ? 0 : -1) < 0)
       continue;
-    ssize_t Got = ::recv(Conn->FD, Chunk, sizeof(Chunk), 0);
-    if (Got <= 0) {
-      // EOF or error: the peer is gone. Queued jobs still holding the
-      // connection will find Closed set and skip their writes.
-      Conn->Closed.store(true);
-      break;
+    if (Polled[0].revents)
+      ::recv(WakeFD[0], Chunk, sizeof(Chunk), MSG_DONTWAIT);
+    if (Polled[1].revents) {
+      int FD = ::accept4(ListenFD, nullptr, nullptr, SOCK_NONBLOCK);
+      if (FD >= 0) {
+        Conns.emplace_back().FD = FD;
+        ++NumServerConnections;
+        std::lock_guard<std::mutex> Lock(StatsMu);
+        ++Stats.Connections;
+      } else if (errno == EMFILE || errno == ENFILE) {
+        // The waiting client keeps the listener readable: leave it out of
+        // the poll set until a connection closes instead of spinning.
+        AtFdLimit = true;
+      }
     }
-    Buf.append(Chunk, static_cast<size_t>(Got));
-    size_t Start = 0;
-    for (size_t NL = Buf.find('\n', Start); NL != std::string::npos;
-         NL = Buf.find('\n', Start)) {
-      std::string Line = Buf.substr(Start, NL - Start);
-      Start = NL + 1;
-      if (!Line.empty() && Line.back() == '\r')
-        Line.pop_back();
-      if (!Line.empty())
-        handleLine(Conn, Line);
+    auto It = Conns.begin();
+    for (size_t I = 2; I != Polled.size(); ++I, ++It) {
+      if (!(Polled[I].revents & (POLLIN | POLLHUP | POLLERR)))
+        continue;
+      ssize_t Got = ::recv(It->FD, Chunk, sizeof(Chunk), 0);
+      if (Got > 0)
+        It->In.append(Chunk, size_t(Got));
+      else if (Got == 0 || (errno != EAGAIN && errno != EWOULDBLOCK))
+        HangUp(*It); // EOF or error: queued jobs' responses are dropped
     }
-    Buf.erase(0, Start);
   }
+  for (Connection &C : Conns)
+    ::close(C.FD);
 }
 
-void CompileServer::handleLine(const std::shared_ptr<Connection> &Conn,
-                               const std::string &Line) {
+std::string CompileServer::handleLine(Connection &C, const std::string &Line) {
   json::Value Req;
   std::string Err;
   if (!json::parse(Line, Req, Err)) {
     std::lock_guard<std::mutex> Lock(StatsMu);
     ++Stats.ProtocolErrors;
-    respond(Conn, encodeErrorResponse(0, "bad request: " + Err));
-    return;
+    return encodeErrorResponse(0, "bad request: " + Err);
   }
   std::string Op = Req.get("op").asString("compile");
 
@@ -280,15 +312,13 @@ void CompileServer::handleLine(const std::shared_ptr<Connection> &Conn,
     R.set("server", json::Value::string("srpc"));
     R.set("protocol", json::Value::integer(ProtocolVersion));
     R.set("pid", json::Value::integer(static_cast<int64_t>(::getpid())));
-    respond(Conn, R.dump());
-    return;
+    return R.dump();
   }
   if (Op == "stats") {
     json::Value R = json::Value::object();
     R.set("ok", json::Value::boolean(true));
     R.set("stats", serverStatsJson(stats()));
-    respond(Conn, R.dump());
-    return;
+    return R.dump();
   }
   if (Op == "metrics") {
     // The scrape endpoint: the whole process-global registry (counters,
@@ -296,35 +326,27 @@ void CompileServer::handleLine(const std::shared_ptr<Connection> &Conn,
     json::Value R = json::Value::object();
     R.set("ok", json::Value::boolean(true));
     R.set("prometheus", json::Value::string(stats::metricsToPrometheusText()));
-    respond(Conn, R.dump());
-    return;
+    return R.dump();
   }
   if (Op == "shutdown") {
     json::Value R = json::Value::object();
     R.set("ok", json::Value::boolean(true));
     R.set("shutting_down", json::Value::boolean(true));
-    respond(Conn, R.dump());
-    if (Opts.Verbose)
-      std::fprintf(stderr, "srpc-server: shutdown requested\n");
-    requestShutdown();
-    return;
+    requestShutdown(); // the I/O loop sends this answer before it exits
+    return R.dump();
   }
   if (Op != "compile") {
     std::lock_guard<std::mutex> Lock(StatsMu);
     ++Stats.ProtocolErrors;
-    respond(Conn, encodeErrorResponse(0, "unknown op '" + Op + "'"));
-    return;
+    return encodeErrorResponse(0, "unknown op '" + Op + "'");
   }
 
   QueuedJob QJ;
-  QJ.Conn = Conn;
+  QJ.Conn = &C;
   if (!decodeCompileRequest(Req, QJ.Job, QJ.Id, Err)) {
-    {
-      std::lock_guard<std::mutex> Lock(StatsMu);
-      ++Stats.ProtocolErrors;
-    }
-    respond(Conn, encodeErrorResponse(QJ.Id, Err));
-    return;
+    std::lock_guard<std::mutex> Lock(StatsMu);
+    ++Stats.ProtocolErrors;
+    return encodeErrorResponse(QJ.Id, Err);
   }
   ++NumServerJobs;
   {
@@ -338,33 +360,41 @@ void CompileServer::handleLine(const std::shared_ptr<Connection> &Conn,
     ++NumServerCacheHits;
     if (trace::enabled())
       trace::instant("server", "job-cache-hit");
-    respond(Conn, encodeCompileResponse(QJ.Id, *E, /*CacheHit=*/true));
-    return;
+    return encodeCompileResponse(QJ.Id, *E, /*CacheHit=*/true);
   }
   ++NumServerCacheMisses;
 
-  uint64_t Id = QJ.Id;
-  if (!enqueue(std::move(QJ)))
-    respond(Conn, encodeErrorResponse(Id, "server shutting down"));
-}
-
-bool CompileServer::enqueue(QueuedJob QJ) {
-  std::unique_lock<std::mutex> Lock(QueueMu);
-  if (Queue.size() >= Opts.QueueCapacity) {
+  C.Held = std::move(QJ);
+  std::string Reply = queueHeld(C);
+  if (C.Held) {
     ++NumServerBackpressure;
-    std::lock_guard<std::mutex> SLock(StatsMu);
+    std::lock_guard<std::mutex> Lock(StatsMu);
     ++Stats.BackpressureWaits;
   }
-  QueueNotFull.wait(Lock, [&] {
-    return Stopping.load() || Queue.size() < Opts.QueueCapacity;
-  });
-  if (Stopping.load())
-    return false;
-  QJ.EnqueuedAt = monotonicSeconds();
-  Queue.push_back(std::move(QJ));
+  return Reply;
+}
+
+/// Moves C's held job into the queue, or answers it during shutdown. The
+/// job stays held while the queue is full; a worker that takes a job from
+/// a full queue wakes the I/O thread to try again.
+std::string CompileServer::queueHeld(Connection &C) {
+  std::unique_lock<std::mutex> Lock(QueueMu);
+  if (Stopping) {
+    Lock.unlock();
+    uint64_t Id = C.Held->Id;
+    C.Held.reset();
+    return encodeErrorResponse(Id, "server shutting down");
+  }
+  if (Queue.size() >= Opts.QueueCapacity)
+    return "";
+  C.Held->EnqueuedAt = monotonicSeconds();
+  Queue.push_back(std::move(*C.Held));
   QueueDepth.set(static_cast<int64_t>(Queue.size()));
+  Lock.unlock();
+  C.Held.reset();
+  ++C.Owed;
   QueueNotEmpty.notify_one();
-  return true;
+  return "";
 }
 
 void CompileServer::workerLoop(unsigned Id) {
@@ -372,17 +402,19 @@ void CompileServer::workerLoop(unsigned Id) {
     trace::setThreadName("server/worker-" + std::to_string(Id));
   while (true) {
     QueuedJob QJ;
+    bool WasFull = false;
     {
       std::unique_lock<std::mutex> Lock(QueueMu);
-      QueueNotEmpty.wait(Lock,
-                         [&] { return Stopping.load() || !Queue.empty(); });
+      QueueNotEmpty.wait(Lock, [&] { return Stopping || !Queue.empty(); });
       if (Queue.empty())
         return; // drained: accepted jobs always get a response
+      WasFull = Queue.size() >= Opts.QueueCapacity;
       QJ = std::move(Queue.front());
       Queue.pop_front();
       QueueDepth.set(static_cast<int64_t>(Queue.size()));
     }
-    QueueNotFull.notify_one();
+    if (WasFull)
+      wake();
     QueueWaitMicros.observeSeconds(monotonicSeconds() - QJ.EnqueuedAt);
     runJob(QJ);
   }
@@ -410,52 +442,34 @@ void CompileServer::runJob(const QueuedJob &QJ) {
     Stats.FunctionsDecoded += R.RunBefore.Interp.FunctionsDecoded +
                               R.RunAfter.Interp.FunctionsDecoded;
   }
-  if (Opts.Verbose)
-    std::fprintf(stderr, "srpc-server: job '%s' %s\n", QJ.Job.Name.c_str(),
-                 R.Ok ? "ok" : "FAILED");
-  respond(QJ.Conn, encodeCompileResponse(QJ.Id, *E, /*CacheHit=*/false));
-}
-
-void CompileServer::respond(const std::shared_ptr<Connection> &Conn,
-                            const std::string &Line) {
-  if (!Conn || Conn->Closed.load())
-    return;
-  std::lock_guard<std::mutex> Lock(Conn->WriteMu);
-  std::string Out = Line + "\n";
-  size_t Sent = 0;
-  while (Sent < Out.size()) {
-    ssize_t N = ::send(Conn->FD, Out.data() + Sent, Out.size() - Sent,
-                       MSG_NOSIGNAL);
-    if (N <= 0) {
-      Conn->Closed.store(true);
-      return;
-    }
-    Sent += static_cast<size_t>(N);
+  std::string Line =
+      encodeCompileResponse(QJ.Id, *E, /*CacheHit=*/false) + "\n";
+  {
+    std::lock_guard<std::mutex> Lock(QueueMu);
+    Done.emplace_back(QJ.Conn, std::move(Line));
   }
+  wake();
 }
 
-int srp::server::serveForever(const ServerOptions &Opts, bool Quiet) {
+int srp::server::serveForever(const ServerOptions &Opts) {
   CompileServer Server(Opts);
   std::string Err;
   if (!Server.start(Err)) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());
     return 1;
   }
-  if (!Quiet)
-    std::fprintf(stderr,
-                 "srpc: serving on %s (threads=%u, queue=%u, cache=%zu)\n",
-                 Opts.SocketPath.c_str(), Opts.Threads, Opts.QueueCapacity,
-                 Opts.CacheEntries);
+  std::fprintf(stderr,
+               "srpc: serving on %s (threads=%u, queue=%u, cache=%zu)\n",
+               Opts.SocketPath.c_str(), Opts.Threads, Opts.QueueCapacity,
+               Opts.CacheEntries);
   Server.wait();
-  if (!Quiet) {
-    ServerStats S = Server.stats();
-    std::fprintf(stderr,
-                 "srpc: served %llu jobs (%llu cache hits) over %llu "
-                 "connections in %.1fs\n",
-                 static_cast<unsigned long long>(S.JobsCompleted),
-                 static_cast<unsigned long long>(S.Cache.Hits),
-                 static_cast<unsigned long long>(S.Connections),
-                 S.UptimeSeconds);
-  }
+  ServerStats S = Server.stats();
+  std::fprintf(stderr,
+               "srpc: served %llu jobs (%llu cache hits) over %llu "
+               "connections in %.1fs\n",
+               static_cast<unsigned long long>(S.JobsCompleted),
+               static_cast<unsigned long long>(S.Cache.Hits),
+               static_cast<unsigned long long>(S.Connections),
+               S.UptimeSeconds);
   return 0;
 }

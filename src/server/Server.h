@@ -10,15 +10,17 @@
 /// newline-delimited JSON protocol of server/Protocol.h, and runs
 /// accepted compile jobs on a fixed pool of workers:
 ///
-///   connection readers --> bounded job queue --> N workers
-///        (backpressure)        (FIFO)          (runCompileJob, one job
-///                                               each, one response per
-///                                               job as it finishes)
+///   one I/O thread ----------> bounded job queue --> N workers
+///   (every socket; answers      (FIFO)              (runCompileJob, one
+///    admin ops and cache hits,                       job each)
+///    sends every response) <------ Done list --------'
 ///
-/// The bounded queue is the backpressure mechanism: when it is full,
-/// connection readers block before reading the next request, so a
-/// flooding client is throttled at its own socket instead of ballooning
-/// server memory.
+/// The I/O thread polls the listening socket, every connection and a
+/// wake socket without a timeout, and it alone touches a connection's
+/// buffers. Backpressure lives in its poll mask: a connection is not read
+/// while its next compile job finds the queue full or while its client
+/// has not taken earlier responses, so a flooding client is throttled at
+/// its own socket instead of ballooning server memory.
 ///
 /// Jobs share exactly two pieces of process-wide mutable state, both
 /// deliberately: the statistics registry (atomic counters) and the
@@ -38,11 +40,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <list>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace srp {
@@ -55,12 +56,11 @@ struct ServerOptions {
   std::string SocketPath = "/tmp/srpc.sock";
   /// Worker threads (0 = hardware concurrency).
   unsigned Threads = 0;
-  /// Bounded queue capacity; readers block when it is full.
+  /// Bounded queue capacity; a connection whose next job finds the
+  /// queue full is not read until a worker takes one.
   unsigned QueueCapacity = 64;
   /// JobCache capacity (finished results kept for resubmission).
   size_t CacheEntries = 128;
-  /// Log connection/job lines to stderr.
-  bool Verbose = false;
 };
 
 /// Counters exposed through the "stats" protocol op and the bench load
@@ -72,7 +72,7 @@ struct ServerStats {
   uint64_t JobsCompleted = 0; ///< pipeline runs finished (Ok or not)
   uint64_t JobsFailed = 0;    ///< finished with Ok = false
   uint64_t ProtocolErrors = 0;
-  uint64_t BackpressureWaits = 0; ///< times a reader blocked on a full queue
+  uint64_t BackpressureWaits = 0; ///< compile jobs held by a full queue
   JobCacheStats Cache;
   /// Summed per-job analysis-cache accounting (AnalysisManager).
   uint64_t AnalysisHits = 0;
@@ -100,7 +100,7 @@ public:
   CompileServer(const CompileServer &) = delete;
   CompileServer &operator=(const CompileServer &) = delete;
 
-  /// Binds the socket and starts the accept thread and the workers.
+  /// Binds the socket and starts the I/O thread and the workers.
   /// Returns false with \p Err set on socket errors.
   bool start(std::string &Err);
 
@@ -112,63 +112,52 @@ public:
   void requestShutdown();
 
   bool running() const { return Running.load(); }
-  const ServerOptions &options() const { return Opts; }
   ServerStats stats() const;
 
 private:
   struct Connection;
   struct QueuedJob {
-    std::shared_ptr<Connection> Conn;
+    /// Owned by the I/O thread, which keeps it until the job is answered.
+    Connection *Conn = nullptr;
     uint64_t Id = 0;
     CompileJob Job;
     double EnqueuedAt = 0; ///< feeds the server.queue-wait-micros histogram
   };
-  /// A connection's reader thread; Done is set under ConnMu once the
-  /// reader has let go of its connection, so the accept loop can join it.
-  struct Reader {
-    std::thread Thread;
-    bool Done = false;
-  };
 
-  void acceptLoop();
-  void connectionLoop(std::shared_ptr<Connection> Conn);
-  void reapReaders();
+  void ioLoop();
+  std::string handleLine(Connection &C, const std::string &Line);
+  std::string queueHeld(Connection &C);
   void workerLoop(unsigned Id);
   void runJob(const QueuedJob &QJ);
-  void handleLine(const std::shared_ptr<Connection> &Conn,
-                  const std::string &Line);
-  bool enqueue(QueuedJob QJ); ///< blocks on full queue; false on shutdown
-  void respond(const std::shared_ptr<Connection> &Conn,
-               const std::string &Line);
+  void wake();
 
   ServerOptions Opts;
   int ListenFD = -1;
+  int WakeFD[2] = {-1, -1}; ///< wake() writes [1]; the I/O thread polls [0]
   double StartedAt = 0;
   std::atomic<bool> Running{false};
-  std::atomic<bool> Stopping{false};
 
-  /// Stopping is set under QueueMu, so none of these conditions can miss
-  /// it. Only wait() sleeps on StopRequested: a worker or a reader that
-  /// shared it could absorb the notify meant for the other.
+  /// Guards the queue, the finished jobs' response lines (Done) and
+  /// Stopping. Each change the I/O thread waits for is followed by a
+  /// wake(), so its poll needs no timeout.
   std::mutex QueueMu;
-  std::condition_variable QueueNotFull, QueueNotEmpty, StopRequested;
+  std::condition_variable QueueNotEmpty;
   std::deque<QueuedJob> Queue;
+  std::vector<std::pair<Connection *, std::string>> Done;
+  bool Stopping = false;
 
   JobCache Cache;
 
   mutable std::mutex StatsMu;
   ServerStats Stats;
 
-  std::thread AcceptThread;
+  std::thread IOThread;
   std::vector<std::thread> Workers;
-  std::mutex ConnMu;
-  std::list<Reader> Readers;
 };
 
-/// Convenience for `srpc --serve`: start, print one "listening" line
-/// (unless quiet), block until shutdown, unlink the socket. Returns a
-/// process exit code.
-int serveForever(const ServerOptions &Opts, bool Quiet = false);
+/// Convenience for `srpc --serve`: start, print one "listening" line,
+/// block until shutdown, unlink the socket. Returns a process exit code.
+int serveForever(const ServerOptions &Opts);
 
 } // namespace server
 } // namespace srp

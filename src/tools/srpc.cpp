@@ -292,7 +292,8 @@ int main(int argc, char **argv) {
              return parseUnsigned(V, SrvOpts.Threads);
            });
   OP.value("queue", "<n>",
-           "with -serve: bounded job-queue capacity (backpressure)",
+           "with -serve: job-queue capacity; a client whose job finds "
+           "it full is not read until a worker takes one",
            [&](const std::string &V) {
              return parseUnsigned(V, SrvOpts.QueueCapacity) &&
                     SrvOpts.QueueCapacity > 0;
@@ -306,8 +307,6 @@ int main(int argc, char **argv) {
              SrvOpts.CacheEntries = N;
              return true;
            });
-  OP.flag("server-verbose", "with -serve: log connections and jobs",
-          [&] { SrvOpts.Verbose = true; });
   OP.flag("ping", "with -connect: check the server is alive",
           [&] { Ping = true; });
   OP.flag("server-stats", "with -connect: print server counters as JSON",

@@ -9,9 +9,11 @@
 /// jobs with overlapping function names staying ExecutionResult-identical
 /// to sequential one-shot runs (per-job isolation), job-cache hits over
 /// the wire, bounded-queue backpressure, protocol-error handling, the
-/// ping/stats/shutdown lifecycle, and the worker pool's liveness: prompt
+/// ping/stats/shutdown lifecycle, the worker pool's liveness (prompt
 /// answers while a thread sits in wait(), a short job overtaking a long
-/// one, and sockets released once their clients hang up.
+/// one) and the I/O thread's: sockets released once their clients hang
+/// up, prompt shutdown with idle clients, and a client that stops reading
+/// stalling no one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +25,7 @@
 #include "support/Statistics.h"
 #include "support/Timer.h"
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -102,6 +105,20 @@ size_t openFdCount() {
     N += E->d_name[0] != '.';
   ::closedir(D);
   return N;
+}
+
+/// A raw client socket connected to \p Path, or -1.
+int connectRaw(const std::string &Path) {
+  int FD = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  sockaddr_un Addr{};
+  Addr.sun_family = AF_UNIX;
+  std::snprintf(Addr.sun_path, sizeof(Addr.sun_path), "%s", Path.c_str());
+  if (FD >= 0 &&
+      ::connect(FD, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0) {
+    ::close(FD);
+    return -1;
+  }
+  return FD;
 }
 
 /// Jobs that have left a server queue so far, process-wide.
@@ -433,8 +450,9 @@ TEST(ServerTest, MemoryOverBudgetIsAnErrorResponse) {
 
 // Floods the server through a raw socket — many requests written before
 // any response is read — with a capacity-1 queue. Every request must
-// still be answered (readers block, nothing is dropped) and the server
-// must record that backpressure engaged.
+// still be answered (the server stops reading the connection while its
+// next job finds the queue full; nothing is dropped) and the server must
+// record that backpressure engaged.
 TEST(ServerTest, BackpressureBlocksWithoutDroppingJobs) {
   ServerOptions O;
   O.SocketPath = testSocketPath("pressure");
@@ -764,7 +782,7 @@ TEST(ServerTest, ShortJobOvertakesLongJob) {
   EXPECT_TRUE(LongResp.Ok);
 }
 
-// A reader that saw its client hang up once kept the socket open until
+// A connection whose client hung up once kept its socket open until
 // shutdown: one leaked descriptor per finished connection.
 TEST(ServerTest, FinishedConnectionsReleaseTheirSockets) {
   ServerOptions O;
@@ -782,12 +800,70 @@ TEST(ServerTest, FinishedConnectionsReleaseTheirSockets) {
     ASSERT_TRUE(Cl.connect(O.SocketPath, Err)) << Err;
     ASSERT_TRUE(Cl.ping(Err)) << Err;
   }
-  // Each reader sees its client's EOF at once and exits.
+  // The server sees each client's EOF at once and closes its socket.
   const double Deadline = monotonicSeconds() + 5;
   while (openFdCount() > Baseline && monotonicSeconds() < Deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_EQ(openFdCount(), Baseline);
   EXPECT_EQ(S.Srv.stats().Connections, NumClients);
+}
+
+// wait() once returned only when the accept loop's and every connection
+// reader's 200 ms poll tick came round, so idle clients held shutdown up.
+TEST(ServerTest, ShutdownIsPromptWithIdleClients) {
+  ServerOptions O;
+  O.SocketPath = testSocketPath("prompt");
+  O.Threads = 1;
+  CompileServer Srv(O);
+  std::string Err;
+  ASSERT_TRUE(Srv.start(Err)) << Err;
+
+  // Three clients, each answered once and then left idle.
+  const std::string Ping = "{\"op\":\"ping\"}\n";
+  int FDs[3];
+  for (int &FD : FDs) {
+    FD = connectRaw(O.SocketPath);
+    ASSERT_GE(FD, 0);
+    ASSERT_EQ(::send(FD, Ping.data(), Ping.size(), 0), ssize_t(Ping.size()));
+    char C = 0;
+    while (C != '\n')
+      ASSERT_EQ(::recv(FD, &C, 1, 0), 1) << "no answer to ping";
+  }
+  const double T0 = monotonicSeconds();
+  Srv.requestShutdown();
+  Srv.wait();
+  EXPECT_LT((monotonicSeconds() - T0) * 1e3, 100.0);
+  for (int FD : FDs) {
+    char C;
+    EXPECT_EQ(::recv(FD, &C, 1, 0), 0) << "the server left a client open";
+    ::close(FD);
+  }
+}
+
+// One thread serves every socket, so a client that stops reading must
+// cost the others nothing: the server stops reading that client instead of
+// waiting on its socket or queuing responses for it without bound.
+TEST(ServerTest, ClientThatStopsReadingStallsNoOne) {
+  ServerOptions O;
+  O.SocketPath = testSocketPath("slowreader");
+  O.Threads = 1;
+  RunningServer S(O);
+  ASSERT_TRUE(S.Started);
+
+  int Slow = connectRaw(O.SocketPath);
+  ASSERT_GE(Slow, 0);
+  const std::string Req = "{\"op\":\"metrics\"}\n";
+  while (::send(Slow, Req.data(), Req.size(), MSG_DONTWAIT) > 0) {
+  }
+  EXPECT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << std::strerror(errno);
+
+  Client Cl;
+  std::string Err;
+  ASSERT_TRUE(Cl.connect(O.SocketPath, Err)) << Err;
+  const double T0 = monotonicSeconds();
+  EXPECT_TRUE(Cl.ping(Err)) << Err;
+  EXPECT_LT((monotonicSeconds() - T0) * 1e3, 100.0);
+  ::close(Slow);
 }
 
 TEST(ServerTest, PingStatsShutdownLifecycle) {

@@ -25,6 +25,12 @@ buckets, populated service-time histogram, byte-stable across two
 idle scrapes), queries stats, and finishes with a clean `--shutdown`,
 asserting the daemon drains and exits 0.
 
+A last phase starts a second daemon with RLIMIT_NOFILE = 12 and holds 16
+connections open, so `accept` fails with EMFILE while clients wait in the
+listen backlog. Over a 1 s hold the daemon must stay idle (under 0.2
+CPU-seconds, read from /proc/<pid>/stat), a waiting client must be
+served once the answered ones close, and `--shutdown` must exit 0.
+
 This is the end-to-end slice of tests/ServerTest.cpp: real processes,
 real socket, the exact CLI a user types.
 """
@@ -32,6 +38,9 @@ real socket, the exact CLI a user types.
 import argparse
 import json
 import os
+import resource
+import select
+import socket
 import subprocess
 import sys
 import time
@@ -218,13 +227,84 @@ def validate_prometheus(args):
           "idle server scrapes are not byte-identical")
 
 
-def wait_for_server(args, deadline=10.0):
+def wait_for_server(args, sock, deadline=10.0):
     end = time.monotonic() + deadline
     while time.monotonic() < end:
-        if run([args.srpc, "--ping", f"--socket={args.socket}"]).returncode == 0:
+        if run([args.srpc, "--ping", f"--socket={sock}"]).returncode == 0:
             return True
         time.sleep(0.05)
     return False
+
+
+def cpu_seconds(pid):
+    """User + system CPU time of process `pid` so far, in seconds."""
+    with open(f"/proc/{pid}/stat") as f:
+        fields = f.read().rsplit(")", 1)[1].split()
+    # fields[0] is field 3 (state); utime and stime are fields 14 and 15.
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+def fd_limit_phase(args):
+    """More connections than the daemon has descriptors for."""
+    sock = args.socket + ".fdlimit"
+
+    def limit_fds():
+        resource.setrlimit(resource.RLIMIT_NOFILE, (12, 12))
+
+    server = subprocess.Popen(
+        [args.srpc, "--serve", f"--socket={sock}", "--threads=1"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        preexec_fn=limit_fds)
+    conns = []
+    try:
+        if not check(wait_for_server(args, sock),
+                     "fd-limit server never answered --ping"):
+            return
+        for _ in range(16):
+            conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            conn.connect(sock)  # the listen backlog takes what accept cannot
+            conn.sendall(b'{"op":"ping"}\n')
+            conns.append(conn)
+        before = cpu_seconds(server.pid)
+        time.sleep(1.0)
+        used = cpu_seconds(server.pid) - before
+        check(used < 0.2, f"daemon used {used:.2f} CPU-s over a 1 s hold "
+                          f"at its descriptor limit")
+        answered = [c for c in conns if select.select([c], [], [], 0)[0]]
+        waiting = [c for c in conns if c not in answered]
+        if not check(answered and waiting,
+                     f"{len(answered)} of {len(conns)} held connections "
+                     f"answered; the descriptor limit should leave some "
+                     f"waiting"):
+            return
+        for conn in answered:
+            conn.close()
+        waiting[0].settimeout(10)
+        try:
+            reply = waiting[0].recv(4096)
+        except socket.timeout:
+            reply = b""
+        check(b'"ok":true' in reply,
+              "a waiting connection was not served once the answered "
+              f"ones closed (got {reply!r})")
+        for conn in waiting:
+            conn.close()
+        conns = []
+        check(run([args.srpc, "--shutdown",
+                   f"--socket={sock}"]).returncode == 0,
+              "--shutdown failed at the descriptor limit")
+        try:
+            rc = server.wait(timeout=10)
+            check(rc == 0, f"fd-limit server exited {rc} after shutdown")
+        except subprocess.TimeoutExpired:
+            check(False, "fd-limit server did not exit within 10s of "
+                         "--shutdown")
+    finally:
+        for conn in conns:
+            conn.close()
+        if server.poll() is None:
+            server.kill()
+            server.wait()
 
 
 def main():
@@ -256,7 +336,8 @@ def main():
          "--threads=2", "--queue=8"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     try:
-        if not check(wait_for_server(args), "server never answered --ping"):
+        if not check(wait_for_server(args, args.socket),
+                     "server never answered --ping"):
             server.kill()
             report_and_exit(server)
 
@@ -343,6 +424,7 @@ def main():
             server.kill()
         check(not os.path.exists(args.socket),
               "socket file left behind after shutdown")
+        fd_limit_phase(args)
     finally:
         if server.poll() is None:
             server.kill()
@@ -362,7 +444,8 @@ def report_and_exit(server):
             print(out)
         sys.exit(1)
     print("srp_server_smoke: ok (parity, cache hits, remarks/trace "
-          "byte parity, prometheus scrape, clean shutdown)")
+          "byte parity, prometheus scrape, clean shutdown, descriptor "
+          "limit)")
     sys.exit(0)
 
 
