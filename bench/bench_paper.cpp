@@ -549,7 +549,7 @@ void matrix() {
     for (size_t I = 0; I != Results.size(); ++I)
       std::printf("%s\n    {\"name\": \"%s\", \"ok\": %s, "
                   "\"dynamic_memops_after\": %llu, \"wall_seconds\": %.6f}",
-                  I ? "," : "", jsonEscape(Jobs[I].Name).c_str(),
+                  I ? "," : "", json::escape(Jobs[I].Name).c_str(),
                   Results[I].Ok ? "true" : "false",
                   ull(Results[I].RunAfter.Counts.memOps()),
                   Results[I].WallSeconds);
@@ -649,9 +649,10 @@ Doc collect() {
       add(P + "max_live_before", R.Before.MaxLive);
       add(P + "max_live_after", R.After.MaxLive);
     }
-  // Bytecode and native-code builds depend on the engine, and uncached
-  // builds depend on how often it asks (dominators: 7,356 under the walker,
-  // 8,316 under the bytecode and native engines).
+  // Recorded, never compared: the bytecode and native-code kinds and every
+  // uncached count. Of these only native-code builds differ by engine
+  // (none under the walker or the bytecode engine, which decode as the
+  // native one does).
   const CacheTotals &C = cacheTotals();
   for (unsigned K = 0; K != NumAnalysisKinds; ++K) {
     const std::string Name = analysisKindName(AnalysisKind(K));

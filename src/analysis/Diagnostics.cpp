@@ -8,7 +8,7 @@
 #include "ir/BasicBlock.h"
 #include "ir/Function.h"
 #include "ir/Printer.h"
-#include "support/Statistics.h"
+#include "support/JSON.h"
 #include <sstream>
 
 using namespace srp;
@@ -119,13 +119,13 @@ std::string srp::diagnosticsToJson(const std::vector<Diagnostic> &Diags,
   bool First = true;
   for (const Diagnostic &D : Diags) {
     OS << (First ? "\n" : ",\n") << Inner << "{\"check\": \""
-       << jsonEscape(D.CheckID) << "\", \"severity\": \""
+       << json::escape(D.CheckID) << "\", \"severity\": \""
        << diagSeverityName(D.Severity) << "\", \"function\": \""
-       << jsonEscape(D.Loc.Function) << "\", \"block\": \""
-       << jsonEscape(D.Loc.Block) << "\", \"instruction_index\": "
-       << D.Loc.InstIndex << ", \"snippet\": \"" << jsonEscape(D.Loc.Snippet)
-       << "\", \"message\": \"" << jsonEscape(D.Message)
-       << "\", \"fixit\": \"" << jsonEscape(D.FixIt) << "\"}";
+       << json::escape(D.Loc.Function) << "\", \"block\": \""
+       << json::escape(D.Loc.Block) << "\", \"instruction_index\": "
+       << D.Loc.InstIndex << ", \"snippet\": \"" << json::escape(D.Loc.Snippet)
+       << "\", \"message\": \"" << json::escape(D.Message)
+       << "\", \"fixit\": \"" << json::escape(D.FixIt) << "\"}";
     First = false;
   }
   if (!First)

@@ -18,8 +18,9 @@ SRP_STATISTIC(NumFunctionsDecoded, "interp", "decodes",
               "Functions decoded to bytecode");
 SRP_STATISTIC(NumInstsDecoded, "interp", "decoded-insts",
               "Instructions decoded to bytecode across all decodes");
-SRP_STATISTIC(NumWalkFallbackDecodes, "interp", "decode-walk-fallbacks",
-              "Decodes that failed static validation (run via the walker)");
+SRP_STATISTIC(NumRefusedDecodes, "interp", "decode-refusals",
+              "Decodes refused for a broken well-formedness rule (calling "
+              "the function traps)");
 SRP_STATISTIC(DecodeMicros, "interp", "decode-micros",
               "Wall time spent decoding functions, in microseconds");
 } // namespace
@@ -27,7 +28,7 @@ SRP_STATISTIC(DecodeMicros, "interp", "decode-micros",
 namespace {
 
 /// Decode state for one function; collapses into the DecodedFunction on
-/// success or flags it NeedsWalk on the first validation failure.
+/// success or stops at the first broken rule, recorded as its Refusal.
 class Decoder {
   Function &F;
   const DominatorTree &DT;
@@ -54,55 +55,45 @@ class Decoder {
     return It->second;
   }
 
-  /// True if \p V is legal as an operand of \p U: a constant, undef, an
-  /// argument of this function, or an instruction whose definition
-  /// dominates the use. Anything else is use-before-def territory and
-  /// defers the function to the tree-walker.
-  bool validUse(const Value *V, const Instruction *U) const {
-    switch (V->kind()) {
-    case Value::Kind::ConstantInt:
-    case Value::Kind::Undef:
-      return true;
-    case Value::Kind::Argument:
-      return cast<Argument>(V)->parent() == &F;
-    case Value::Kind::MemoryName:
-      return false;
-    default: {
-      auto *D = cast<Instruction>(V);
-      BasicBlock *DB = D->parent();
-      if (!DB || !DT.contains(DB))
-        return false;
-      if (DB == U->parent())
-        return DB->comesBefore(D, U);
-      return DT.dominates(DB, U->parent());
-    }
-    }
+  /// Records why the function cannot run; returns false.
+  bool refuse(std::string Why) {
+    DF.Refusal = std::move(Why);
+    return false;
   }
 
-  /// Phi-edge variant: \p V must be available at the *end* of the incoming
-  /// block \p P (the classic SSA phi-operand dominance rule).
-  bool validPhiIncoming(const Value *V, const BasicBlock *P) const {
+  /// True if \p V is available just before \p U, or at the end of block
+  /// \p BB when \p U is null (where a phi reads its incoming value on the
+  /// edge from \p BB): a constant, undef, an argument of this function, or
+  /// an instruction whose definition dominates that point. Anything else
+  /// refuses the function.
+  bool validUse(const Value *V, const Instruction *U,
+                const BasicBlock *BB = nullptr) {
+    if (U)
+      BB = U->parent();
+    bool Ok = false;
     switch (V->kind()) {
     case Value::Kind::ConstantInt:
     case Value::Kind::Undef:
       return true;
     case Value::Kind::Argument:
-      return cast<Argument>(V)->parent() == &F;
+      Ok = cast<Argument>(V)->parent() == &F;
+      break;
     case Value::Kind::MemoryName:
-      return false;
+      break;
     default: {
       auto *D = cast<Instruction>(V);
       BasicBlock *DB = D->parent();
-      if (!DB || !DT.contains(DB))
-        return false;
-      return DB == P || DT.dominates(DB, P);
+      if (DB && DT.contains(DB))
+        Ok = DB == BB ? (!U || DB->comesBefore(D, U)) : DT.dominates(DB, BB);
     }
     }
+    return Ok || refuse("use of " + V->referenceString() + " in block '" +
+                        BB->name() + "' is not dominated by its definition");
   }
 
   /// Static storage = globals and address-taken locals (mirrors the
   /// MemoryImage the engine builds); this function's other locals live in
-  /// the frame arena. Anything else is invalid IR.
+  /// the frame arena. Another function's local refuses the function.
   bool classifyObject(const MemoryObject *Obj, bool &IsStatic,
                       uint32_t &ObjField) {
     if (!Obj->owner() || Obj->isAddressTaken()) {
@@ -111,18 +102,21 @@ class Decoder {
       return true;
     }
     if (Obj->owner() != &F)
-      return false;
+      return refuse("access to local '" + Obj->name() + "' of function '" +
+                    Obj->owner()->name() + "'");
     IsStatic = false;
     ObjField = LocalOffset.at(Obj);
     return true;
   }
 
   /// Builds the edge (and its parallel-copy list) for the transition
-  /// \p From -> \p To; returns the edge index, or -1 on invalid phi state.
-  int32_t makeEdge(uint32_t FromIdx, BasicBlock *From, BasicBlock *To) {
+  /// \p From -> \p To and sets \p Out to its index.
+  bool makeEdge(uint32_t FromIdx, BasicBlock *From, BasicBlock *To,
+                int32_t &Out) {
     auto It = BlockIndex.find(To);
     if (It == BlockIndex.end())
-      return -1;
+      return refuse("branch to block '" + To->name() +
+                    "' outside the function");
     BEdge E;
     E.To = It->second;
     E.Id = static_cast<uint32_t>(DF.EdgeFrom.size());
@@ -135,10 +129,12 @@ class Decoder {
       if (auto *P = dyn_cast<PhiInst>(I)) {
         int Idx = P->indexOfBlock(From);
         if (Idx < 0)
-          return -1;
+          return refuse("phi " + P->referenceString() + " in block '" +
+                        To->name() + "' has no incoming value for block '" +
+                        From->name() + "'");
         Value *V = P->incomingValue(static_cast<unsigned>(Idx));
-        if (!validPhiIncoming(V, From))
-          return -1;
+        if (!validUse(V, nullptr, From))
+          return false;
         DF.PhiCopies.push_back({slotOf(P), slotOf(V)});
       } else if (!isa<MemPhiInst>(I)) {
         break;
@@ -146,8 +142,9 @@ class Decoder {
     }
     E.CopyEnd = static_cast<uint32_t>(DF.PhiCopies.size());
     DF.MaxPhiCopies = std::max(DF.MaxPhiCopies, E.CopyEnd - E.CopyBegin);
+    Out = static_cast<int32_t>(DF.Edges.size());
     DF.Edges.push_back(E);
-    return static_cast<int32_t>(DF.Edges.size() - 1);
+    return true;
   }
 
   bool decodeInst(Instruction *I, uint32_t BlockIdx, BasicBlock *BB) {
@@ -261,7 +258,7 @@ class Decoder {
     case Value::Kind::Call: {
       auto *C = cast<CallInst>(I);
       if (!C->callee())
-        return false;
+        return refuse("call without a callee in block '" + BB->name() + "'");
       X.Op = BOp::Call;
       X.ArgsBegin = static_cast<uint32_t>(DF.CallArgSlots.size());
       for (Value *A : C->operands()) {
@@ -286,10 +283,8 @@ class Decoder {
       break;
     }
     case Value::Kind::Br: {
-      auto *Br = cast<BrInst>(I);
       X.Op = BOp::Jmp;
-      X.T0 = makeEdge(BlockIdx, BB, Br->target());
-      if (X.T0 < 0)
+      if (!makeEdge(BlockIdx, BB, cast<BrInst>(I)->target(), X.T0))
         return false;
       break;
     }
@@ -299,9 +294,8 @@ class Decoder {
         return false;
       X.Op = BOp::JmpIf;
       X.A = slotOf(C->condition());
-      X.T0 = makeEdge(BlockIdx, BB, C->trueTarget());
-      X.T1 = makeEdge(BlockIdx, BB, C->falseTarget());
-      if (X.T0 < 0 || X.T1 < 0)
+      if (!makeEdge(BlockIdx, BB, C->trueTarget(), X.T0) ||
+          !makeEdge(BlockIdx, BB, C->falseTarget(), X.T1))
         return false;
       break;
     }
@@ -315,8 +309,9 @@ class Decoder {
       }
       break;
     }
-    default:
-      return false; // Phi/MemPhi/DummyLoad are filtered by the caller.
+    default: // Phi/MemPhi/DummyLoad are filtered by the caller.
+      return refuse("cannot decode " + I->referenceString() + " in block '" +
+                    BB->name() + "'");
     }
     DF.Code.push_back(X);
     return true;
@@ -368,10 +363,8 @@ public:
     for (BasicBlock *BB : F.blocks()) {
       if (!DT.contains(BB))
         continue;
-      // A branch into a block with no terminator traps in the walker
-      // *before* the block runs; keep that quirk by deferring wholesale.
       if (!BB->terminator())
-        return false;
+        return refuse("block '" + BB->name() + "' has no terminator");
       BlockIndex[BB] = static_cast<uint32_t>(DF.BlockPtrs.size());
       DF.BlockPtrs.push_back(BB);
     }
@@ -381,12 +374,18 @@ public:
       BasicBlock *BB = DF.BlockPtrs[BI];
       BBlock &Blk = DF.Blocks[BI];
       Blk.First = static_cast<uint32_t>(DF.Code.size());
+      bool Leading = true; // still among the block's leading (mem)phis
       for (const auto &IP : *BB) {
         Instruction *I = IP.get();
         if (isa<PhiInst>(I)) {
+          // Edges copy only the leading phis; a later one is never set.
+          if (!Leading)
+            return refuse("phi " + I->referenceString() + " in block '" +
+                          BB->name() + "' follows a non-phi instruction");
           slotOf(I); // materialised by the per-edge copy lists
           continue;
         }
+        Leading = Leading && isa<MemPhiInst>(I);
         if (isa<MemPhiInst>(I) || isa<DummyLoadInst>(I))
           continue; // free in the walker too
         if (!decodeInst(I, BI, BB))
@@ -409,32 +408,23 @@ public:
 
 std::unique_ptr<DecodedFunction>
 AnalysisTraits<DecodedFunction>::build(Function &F, AnalysisManager &AM) {
-  if (F.empty())
-    return decodeFunction(F, nullptr);
-  return decodeFunction(F, &AM.get<DominatorTree>(F));
-}
-
-std::unique_ptr<DecodedFunction> srp::decodeFunction(Function &F,
-                                                     const DominatorTree *DT) {
-  double T0 = monotonicSeconds();
   auto DF = std::make_unique<DecodedFunction>();
   DF->F = &F;
+  ++NumFunctionsDecoded;
   if (F.empty()) {
     DF->Empty = true;
-    ++NumFunctionsDecoded;
     return DF;
   }
-  assert(DT && "non-empty functions need a dominator tree to decode");
-  if (!Decoder(F, *DT, *DF).run()) {
-    // Failed static validation (use-before-def, foreign locals, malformed
-    // phis/blocks): hand the whole function to the reference walker, which
-    // reproduces the exact dynamic trap behaviour.
+  const DominatorTree &DT = AM.get<DominatorTree>(F);
+  double T0 = monotonicSeconds();
+  if (!Decoder(F, DT, *DF).run()) {
+    // Keep only the verdict: nothing of a refused function ever runs.
+    std::string Why = std::move(DF->Refusal);
     *DF = DecodedFunction();
     DF->F = &F;
-    DF->NeedsWalk = true;
-    ++NumWalkFallbackDecodes;
+    DF->Refusal = std::move(Why);
+    ++NumRefusedDecodes;
   }
-  ++NumFunctionsDecoded;
   NumInstsDecoded += DF->Code.size();
   DecodeMicros += static_cast<uint64_t>((monotonicSeconds() - T0) * 1e6);
   return DF;

@@ -22,10 +22,10 @@
 /// moves either of the function's edit epochs retires the decoded form.
 ///
 /// The decoder also proves, via the dominator tree, that every register
-/// use is reached by its definition. Functions that fail the proof (only
-/// hand-built invalid IR does) are flagged NeedsWalk and executed by the
-/// reference tree-walker, which traps use-before-def dynamically —
-/// keeping the two engines observationally identical.
+/// use is reached by its definition. A function that fails the proof or
+/// breaks another well-formedness rule (only hand-built IR does) is
+/// *refused*: DecodedFunction::Refusal names the first broken rule, and
+/// every engine, the tree-walker included, traps when it is called.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +41,6 @@
 namespace srp {
 
 class BasicBlock;
-class DominatorTree;
 class Function;
 class MemoryObject;
 
@@ -136,15 +135,17 @@ struct BBlock {
 };
 
 /// A function decoded for the bytecode engine. Immutable after decoding;
-/// owned by the AnalysisManager cache (or by the engine when no manager is
-/// supplied). Holds no absolute memory addresses and no execution counts,
-/// so one decode is valid across runs until the IR changes.
+/// owned by the AnalysisManager cache. Holds no absolute memory addresses
+/// and no execution counts, so one decode is valid across runs until the
+/// IR changes.
 struct DecodedFunction {
   Function *F = nullptr;
 
-  /// Degenerate shapes the executor handles up front.
-  bool Empty = false;     ///< Function has no blocks; calling it traps.
-  bool NeedsWalk = false; ///< Failed static validation; run via the walker.
+  /// Degenerate shapes every engine traps on when called; both decode to
+  /// no blocks.
+  bool Empty = false;  ///< Function has no blocks.
+  std::string Refusal; ///< Set when decoding refused the function: the
+                       ///< first well-formedness rule it breaks.
 
   uint32_t NumSlots = 0;
   uint32_t NumArgs = 0;
@@ -185,12 +186,6 @@ struct DecodedFunction {
 
   uint32_t numEdges() const { return static_cast<uint32_t>(Edges.size()); }
 };
-
-/// Decodes \p F. \p DT may be null only for empty functions; for the rest
-/// it supplies reachability and the dominance facts backing the
-/// use-before-def proof.
-std::unique_ptr<DecodedFunction> decodeFunction(Function &F,
-                                                const DominatorTree *DT);
 
 template <> struct AnalysisTraits<DecodedFunction> {
   static constexpr AnalysisKind Kind = AnalysisKind::Bytecode;

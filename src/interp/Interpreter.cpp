@@ -16,16 +16,15 @@
 //    mid-activation, on a retreating edge (OSR), and call each other
 //    directly; traps and fuel exhaustion deopt into execLoop mid-frame at
 //    the faulting instruction.
-// All engines share the memory image, the trap plumbing and the result
-// object, and may interleave within one run: functions the decoder rejects
-// (use-before-def it cannot disprove, malformed blocks) execute via the
-// walker call by call, and native frames hand unencodable events to the
-// bytecode loop.
+// All engines share the memory image, the trap plumbing, the result object
+// and one call path, call(), which decodes every function before it first
+// runs and traps on a call to a function the decoder refused (a use its
+// definition does not dominate, a malformed phi or block). Native frames
+// hand unencodable events to the bytecode loop.
 //
 //===----------------------------------------------------------------------===//
 
 #include "interp/Interpreter.h"
-#include "analysis/Dominators.h"
 #include "interp/Bytecode.h"
 #include "jit/NativeJIT.h"
 #include "ir/Module.h"
@@ -36,6 +35,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <unordered_map>
 
 using namespace srp;
@@ -51,8 +51,6 @@ SRP_STATISTIC(NumWalkRuns, "interp", "walk-runs",
               "Runs executed by the reference tree-walker");
 SRP_STATISTIC(NumDecodeCacheHits, "interp", "decode-cache-hits",
               "Function decodes served from the analysis-manager cache");
-SRP_STATISTIC(NumWalkFallbackCalls, "interp", "walk-fallback-calls",
-              "Calls executed by the walker because decoding was refused");
 SRP_STATISTIC(ExecMicros, "interp", "exec-micros",
               "Wall time spent in interpreter runs, in microseconds");
 SRP_STATISTIC(NumNativeRuns, "interp", "native-runs",
@@ -205,19 +203,11 @@ class ExecEngine {
   MemoryImage Mem;
   const bool UseBytecode; ///< Bytecode or Native engine selected.
   const bool UseNative;   ///< Native engine selected (implies UseBytecode).
-  AnalysisManager *AM;
+  AnalysisManager &AM;
 
-  /// Private decode cache when no AnalysisManager is supplied.
-  std::unordered_map<const Function *, std::unique_ptr<DecodedFunction>>
-      LocalDecoded;
-  /// Private native-code cache when no AnalysisManager is supplied (no
-  /// cross-run hotness then: each engine instance starts cold).
-  std::unordered_map<const Function *, std::unique_ptr<jit::NativeCode>>
-      LocalNative;
-
-  /// Per-function run state. Dense execution counters, converted to the
-  /// pointer-keyed result maps by finish() (the walker fallback writes the
-  /// maps directly; finish() merges with +=, so mixed runs stay exact).
+  /// Per-function run state: the decode every engine checks a call
+  /// against, and dense execution counters, converted to the pointer-keyed
+  /// result maps by finish() (the walker writes the maps directly).
   /// The NativeLink base is what compiled code sees of it: Counts and
   /// Callees point into the vectors below, Direct is set while the
   /// function has code for this run's image.
@@ -260,14 +250,14 @@ class ExecEngine {
   std::vector<int64_t> LocalStack;
   std::vector<int64_t> PhiScratch; ///< Parallel-copy staging buffer.
   std::vector<int64_t> ArgStack;   ///< Call-argument staging stack.
-  /// Frame-local cells held by live walker frames (bytecode and native
-  /// frames hold those below the local watermark); the two together are
-  /// checked against the cell budget.
+  /// Frame-local cells held by live walker frames, checked against the
+  /// cell budget (bytecode and native frames hold those below the local
+  /// watermark).
   uint64_t WalkLocalCells = 0;
 
 public:
   ExecEngine(Module &M, uint64_t Fuel, ExecutionResult &R, InterpEngine E,
-             AnalysisManager *AM, uint64_t Threshold)
+             AnalysisManager &AM, uint64_t Threshold)
       : M(M), FuelLeft(Fuel), R(R), Mem(M),
         UseBytecode(E != InterpEngine::Walk),
         UseNative(E == InterpEngine::Native), AM(AM) {
@@ -325,7 +315,7 @@ public:
       FS.Counts = FS.Cnt.data();
       FS.Callees = FS.CalleeStates.data();
       if (UseNative) {
-        FS.NC = &getNativeCode(F);
+        FS.NC = &AM.get<jit::NativeCode>(F);
         if (FS.NC->Entry && FS.NC->ImageSig == ImageSig)
           FS.Direct = FS.NC->Direct;
       }
@@ -333,27 +323,27 @@ public:
     return FS;
   }
 
-  /// Per-call engine dispatch: decoded fast path when the bytecode tier is
-  /// on and the decoder accepted the function, reference walker otherwise.
-  /// Arguments are passed as a raw span so callers can stage them in
-  /// ArgStack without a per-call allocation.
-  bool call(Function &F, const int64_t *Args, size_t NArgs, int64_t &RetVal,
+  /// The call path of every engine: checks the call depth, the callee's
+  /// decode verdict, emptiness and arity, in this order, then runs the
+  /// callee on the selected engine. (Compiled code calls compiled callees
+  /// directly; their entry checks depth and arity itself, and a refused or
+  /// empty function is never compiled.) Arguments are passed as a raw span
+  /// so callers can stage them in ArgStack without a per-call allocation.
+  bool call(FnState &FS, const int64_t *Args, size_t NArgs, int64_t &RetVal,
             unsigned Depth) {
+    const DecodedFunction &DF = *FS.DF;
+    const std::string &Name = DF.F->name();
     if (Depth > jit::MaxCallDepth)
-      return trap("call stack overflow in " + F.name());
-    if (UseBytecode) {
-      FnState &FS = stateFor(F);
-      const DecodedFunction &DF = *FS.DF;
-      if (!DF.NeedsWalk) {
-        if (DF.Empty)
-          return trap("call to empty function " + F.name());
-        if (NArgs != DF.NumArgs)
-          return trap("arity mismatch calling " + F.name());
-        return dispatchDecoded(DF, FS, Args, RetVal, Depth);
-      }
-      ++R.Interp.WalkFallbackCalls;
-    }
-    return callWalk(F, Args, NArgs, RetVal, Depth);
+      return trap("call stack overflow in " + Name);
+    if (!DF.Refusal.empty())
+      return trap("cannot execute " + Name + ": " + DF.Refusal);
+    if (DF.Empty)
+      return trap("call to empty function " + Name);
+    if (NArgs != DF.NumArgs)
+      return trap("arity mismatch calling " + Name);
+    if (!UseBytecode)
+      return callWalk(*DF.F, Args, RetVal, Depth);
+    return dispatchDecoded(DF, FS, Args, RetVal, Depth);
   }
 
   /// Converts dense counters into the result maps and snapshots final
@@ -398,50 +388,22 @@ public:
 
 private:
   const DecodedFunction &getDecoded(Function &F) {
-    if (AM) {
-      if (AM->cachingEnabled() && AM->isCached(F, AnalysisKind::Bytecode)) {
-        ++R.Interp.DecodeCacheHits;
-        return AM->get<DecodedFunction>(F);
-      }
-      double T0 = monotonicSeconds();
-      TraceSpan Span;
-      if (trace::enabled())
-        Span.begin("interp", "decode:" + F.name());
-      const DecodedFunction &DF = AM->get<DecodedFunction>(F);
-      Span.end();
-      R.Interp.DecodeSeconds += monotonicSeconds() - T0;
-      ++R.Interp.FunctionsDecoded;
-      return DF;
+    if (AM.cachingEnabled() && AM.isCached(F, AnalysisKind::Bytecode)) {
+      ++R.Interp.DecodeCacheHits;
+      return AM.get<DecodedFunction>(F);
     }
-    auto It = LocalDecoded.find(&F);
-    if (It != LocalDecoded.end())
-      return *It->second;
     double T0 = monotonicSeconds();
     TraceSpan Span;
     if (trace::enabled())
       Span.begin("interp", "decode:" + F.name());
-    std::unique_ptr<DominatorTree> DT;
-    if (!F.empty())
-      DT = std::make_unique<DominatorTree>(F);
-    auto DF = decodeFunction(F, DT.get());
+    const DecodedFunction &DF = AM.get<DecodedFunction>(F);
     Span.end();
     R.Interp.DecodeSeconds += monotonicSeconds() - T0;
     ++R.Interp.FunctionsDecoded;
-    return *(LocalDecoded[&F] = std::move(DF));
+    return DF;
   }
 
   //===-- Native tier ------------------------------------------------------===
-
-  /// Per-run native-code resolution; the AM-cached entry carries HotCount
-  /// across runs, the private map starts cold per engine instance.
-  jit::NativeCode &getNativeCode(Function &F) {
-    if (AM)
-      return AM->get<jit::NativeCode>(F);
-    auto &P = LocalNative[&F];
-    if (!P)
-      P = std::make_unique<jit::NativeCode>();
-    return *P;
-  }
 
   /// The arena watermarks as cell indices.
   size_t regTop() const {
@@ -465,7 +427,7 @@ private:
                  size_t &Base, size_t &LocalBase) {
     Base = regTop();
     LocalBase = localTop();
-    if (LocalBase + WalkLocalCells + DF.LocalArenaSize > jit::CellLimit)
+    if (LocalBase + DF.LocalArenaSize > jit::CellLimit)
       return trap("frame-local memory overflow in " + DF.F->name() +
                   " (budget " + std::to_string(jit::CellLimit) + " cells)");
     const size_t RegNeed = Base + DF.NumSlots + DF.MaxCallArgs;
@@ -488,8 +450,8 @@ private:
 
   /// Decoded-function dispatch below call(): push the frame, then run it
   /// natively when the call makes the function hot enough (compiling it
-  /// on the crossing tick), in the bytecode loop otherwise. The caller has
-  /// already validated Empty/NeedsWalk/arity.
+  /// on the crossing tick), in the bytecode loop otherwise. call() has
+  /// already checked the callee.
   bool dispatchDecoded(const DecodedFunction &DF, FnState &FS,
                        const int64_t *Args, int64_t &RetVal, unsigned Depth) {
     size_t Base = 0, LocalBase = 0;
@@ -557,15 +519,14 @@ private:
   enum class NativeExit { Returned, Trapped, Deopted };
 
   /// Control passes to compiled code: it takes the fuel, the arenas'
-  /// usable ends (the frame-local one capped by the cell budget, which
-  /// walker frames share), and starts a new instruction span.
+  /// usable ends (the frame-local one capped by the cell budget), and
+  /// starts a new instruction span.
   void enterNative() {
     Ctx.FuelLeft = FuelLeft;
     NativeMark = FuelLeft;
     Ctx.RegEnd = RegStack.data() + RegStack.size();
     Ctx.LocalEnd = LocalStack.data() +
-                   std::min<uint64_t>(LocalStack.size(),
-                                      jit::CellLimit - WalkLocalCells);
+                   std::min<uint64_t>(LocalStack.size(), jit::CellLimit);
   }
   /// Control returns from compiled code: every fuel unit it consumed
   /// since enterNative was one instruction it executed (a deopt stub has
@@ -604,46 +565,15 @@ private:
   }
 
   /// The BOp::Call helper compiled code calls out to when it cannot call
-  /// directly. Mirrors the bytecode loop's Call case byte for byte: depth
-  /// check, callee-state resolution, argument staging, tier dispatch,
-  /// trap propagation. The caller's frame is the top one; compiled code
-  /// re-anchors it from the watermarks afterwards, since the callee may
-  /// have grown the shared arenas.
+  /// directly: the bytecode loop's call site. The caller's frame is the
+  /// top one; compiled code re-anchors it from the watermarks afterwards,
+  /// since the callee may have grown the shared arenas.
   int64_t nativeCall(FnState &CallerFS, uint64_t CodeIdx) {
     leaveNative();
     const DecodedFunction &DF = *CallerFS.DF;
-    const BInst &X = DF.Code[CodeIdx];
-    Function &Callee = *DF.Callees[X.T0];
-    const unsigned Depth = Ctx.Depth;
-    const int64_t *Rg = Ctx.RegTop - DF.NumSlots;
     int64_t Out = 0;
-    bool Ok;
-    if (Depth >= jit::MaxCallDepth) {
-      Ok = trap("call stack overflow in " + Callee.name());
-    } else {
-      auto *CS = static_cast<FnState *>(CallerFS.CalleeStates[X.T0]);
-      if (!CS)
-        CallerFS.CalleeStates[X.T0] = CS = &stateFor(Callee);
-      const uint32_t NA = X.ArgsEnd - X.ArgsBegin;
-      const size_t AB = ArgStack.size();
-      ArgStack.resize(AB + NA);
-      for (uint32_t I = 0; I != NA; ++I)
-        ArgStack[AB + I] = Rg[DF.CallArgSlots[X.ArgsBegin + I]];
-      const DecodedFunction &CDF = *CS->DF;
-      if (!CDF.NeedsWalk) {
-        if (CDF.Empty)
-          Ok = trap("call to empty function " + Callee.name());
-        else if (NA != CDF.NumArgs)
-          Ok = trap("arity mismatch calling " + Callee.name());
-        else
-          Ok = dispatchDecoded(CDF, *CS, ArgStack.data() + AB, Out,
-                               Depth + 1);
-      } else {
-        ++R.Interp.WalkFallbackCalls;
-        Ok = callWalk(Callee, ArgStack.data() + AB, NA, Out, Depth + 1);
-      }
-      ArgStack.resize(AB);
-    }
+    const bool Ok = callSite(CallerFS, DF.Code[CodeIdx],
+                             Ctx.RegTop - DF.NumSlots, Out, Ctx.Depth);
     Ctx.Status = Ok ? jit::StatusOk : jit::StatusTrap;
     enterNative();
     return Out;
@@ -682,6 +612,27 @@ private:
   }
 
   //===-- Bytecode engine --------------------------------------------------===
+
+  /// The call \p X in \p FS's code, made from the frame whose slots start
+  /// at \p Rg at depth \p Depth. Resolves the callee's state once per call
+  /// site per run (later executions skip the States lookup) and stages the
+  /// arguments on the shared stack, which the callee copies into its frame
+  /// before pushing any of its own, so the span lives exactly long enough.
+  bool callSite(FnState &FS, const BInst &X, const int64_t *Rg, int64_t &Out,
+                unsigned Depth) {
+    const DecodedFunction &DF = *FS.DF;
+    auto *CS = static_cast<FnState *>(FS.CalleeStates[X.T0]);
+    if (!CS)
+      FS.CalleeStates[X.T0] = CS = &stateFor(*DF.Callees[X.T0]);
+    const uint32_t NA = X.ArgsEnd - X.ArgsBegin;
+    const size_t AB = ArgStack.size();
+    ArgStack.resize(AB + NA);
+    for (uint32_t I = 0; I != NA; ++I)
+      ArgStack[AB + I] = Rg[DF.CallArgSlots[X.ArgsBegin + I]];
+    const bool Ok = call(*CS, ArgStack.data() + AB, NA, Out, Depth + 1);
+    ArgStack.resize(AB);
+    return Ok;
+  }
 
   /// The dispatch loop over an already-pushed frame. A fresh call enters
   /// at block 0; a native deopt re-enters mid-block at \p ResumeAt — the
@@ -885,38 +836,8 @@ private:
         break;
       }
       case BOp::Call: {
-        Function &Callee = *DF.Callees[X.T0];
-        if (Depth >= jit::MaxCallDepth)
-          return trap("call stack overflow in " + Callee.name());
-        // Resolve the callee's state once per call site per run; later
-        // executions skip the States hash lookup.
-        auto *CS = static_cast<FnState *>(FS.CalleeStates[X.T0]);
-        if (!CS)
-          FS.CalleeStates[X.T0] = CS = &stateFor(Callee);
-        const uint32_t NA = X.ArgsEnd - X.ArgsBegin;
-        // Stage arguments on the shared stack (no per-call allocation);
-        // the callee copies them into its frame before pushing any of its
-        // own, so the span stays valid exactly long enough.
-        const size_t AB = ArgStack.size();
-        ArgStack.resize(AB + NA);
-        for (uint32_t I = 0; I != NA; ++I)
-          ArgStack[AB + I] = Rg[DF.CallArgSlots[X.ArgsBegin + I]];
         int64_t Out = 0;
-        bool CallOk;
-        const DecodedFunction &CDF = *CS->DF;
-        if (!CDF.NeedsWalk) {
-          if (CDF.Empty)
-            return trap("call to empty function " + Callee.name());
-          if (NA != CDF.NumArgs)
-            return trap("arity mismatch calling " + Callee.name());
-          CallOk =
-              dispatchDecoded(CDF, *CS, ArgStack.data() + AB, Out, Depth + 1);
-        } else {
-          ++R.Interp.WalkFallbackCalls;
-          CallOk = callWalk(Callee, ArgStack.data() + AB, NA, Out, Depth + 1);
-        }
-        ArgStack.resize(AB);
-        if (!CallOk)
+        if (!callSite(FS, X, Rg, Out, Depth))
           return false;
         // The callee may have grown the shared arenas; re-anchor.
         Rg = RegStack.data() + Base;
@@ -986,15 +907,10 @@ private:
     return trap("use of undefined value " + V->referenceString());
   }
 
-  /// Executes \p F in the walker; the result lands in \p RetVal. Returns
-  /// false on trap.
-  bool callWalk(Function &F, const int64_t *Args, size_t NArgs,
-                int64_t &RetVal, unsigned Depth) {
-    if (F.empty())
-      return trap("call to empty function " + F.name());
-    if (NArgs != F.numArgs())
-      return trap("arity mismatch calling " + F.name());
-
+  /// Executes \p F, which call() has checked, in the walker; the result
+  /// lands in \p RetVal. Returns false on trap.
+  bool callWalk(Function &F, const int64_t *Args, int64_t &RetVal,
+                unsigned Depth) {
     // Frame-local storage for non-address-taken locals that survived in
     // memory form (normally none after mem2reg, but raw IR may have them),
     // held against the same budget as the bytecode frames' arenas.
@@ -1002,7 +918,7 @@ private:
     for (const auto &L : F.locals())
       if (!L->isAddressTaken())
         FrameCells += L->size();
-    if (localTop() + WalkLocalCells + FrameCells > jit::CellLimit)
+    if (WalkLocalCells + FrameCells > jit::CellLimit)
       return trap("frame-local memory overflow in " + F.name() + " (budget " +
                   std::to_string(jit::CellLimit) + " cells)");
     WalkLocalCells += FrameCells;
@@ -1214,8 +1130,8 @@ private:
             CallArgs.push_back(V);
           }
           int64_t Out = 0;
-          if (!call(*C->callee(), CallArgs.data(), CallArgs.size(), Out,
-                    Depth + 1))
+          if (!call(stateFor(*C->callee()), CallArgs.data(), CallArgs.size(),
+                    Out, Depth + 1))
             return false;
           if (C->type() != Type::Void)
             Fr.set(C, Out);
@@ -1278,10 +1194,13 @@ ExecutionResult Interpreter::run(const std::string &EntryName,
   TraceSpan Span;
   if (trace::enabled())
     Span.begin("interp", "exec:" + EntryName);
-  ExecEngine E(M, Fuel, R, Engine, AM, JitThreshold);
+  std::optional<AnalysisManager> OwnAM; // decodes for this run only
+  ExecEngine E(M, Fuel, R, Engine, AM ? *AM : OwnAM.emplace(&M),
+               JitThreshold);
   int64_t Ret = 0;
   R.Ok = true;
-  if (E.start() && E.call(*Entry, Args.data(), Args.size(), Ret, 0))
+  if (E.start() &&
+      E.call(E.stateFor(*Entry), Args.data(), Args.size(), Ret, 0))
     R.ExitValue = Ret;
   E.finish();
   Span.end();
@@ -1305,7 +1224,6 @@ ExecutionResult Interpreter::run(const std::string &EntryName,
   // Per-event counters are kept per run and published once, so hot paths
   // (a native call) touch no shared atomic.
   NumDecodeCacheHits += R.Interp.DecodeCacheHits;
-  NumWalkFallbackCalls += R.Interp.WalkFallbackCalls;
   NumNativeCompiles += R.Interp.FunctionsCompiled;
   NumNativeCalls += R.Interp.NativeCalls;
   NumNativeOsrEntries += R.Interp.OsrEntries;

@@ -34,8 +34,10 @@
 ///    fuel exhaustion. On other hosts it degrades to the bytecode engine.
 /// Results are required to be identical field by field; the parity suite
 /// (tests/InterpParityTest.cpp) and the srp_oracle_walk / srp_native_parity
-/// ctest gates enforce it. Functions the decoder cannot statically validate
-/// fall back to the walker per call, so mixed execution is still exact.
+/// ctest gates enforce it. Every engine decodes a function before its first
+/// call, and a call to a function the decoder refuses (a use its definition
+/// does not dominate, a malformed phi or block: only hand-built IR has one)
+/// traps with the same message in all three.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -93,7 +95,6 @@ struct InterpRunStats {
   InterpEngine Engine = InterpEngine::Bytecode;
   uint64_t FunctionsDecoded = 0;  ///< Decodes performed during this run.
   uint64_t DecodeCacheHits = 0;   ///< Decodes served from the manager cache.
-  uint64_t WalkFallbackCalls = 0; ///< Calls executed by the walker fallback.
   uint64_t FunctionsCompiled = 0; ///< Native-tier compiles this run.
   uint64_t NativeCalls = 0;       ///< Calls executed by JIT-compiled code.
   uint64_t DirectCalls = 0; ///< Of those, calls compiled code made straight
@@ -138,8 +139,8 @@ public:
   /// caches decoded functions and native code across runs
   /// (AnalysisKind::Bytecode / NativeCode) so an unchanged function is
   /// decoded once — and its JIT hotness accumulates — across profile +
-  /// measurement; without a manager the interpreter caches privately per
-  /// instance.
+  /// measurement; without one, each run decodes through a manager of its
+  /// own.
   explicit Interpreter(Module &M, uint64_t Fuel = 200'000'000,
                        InterpEngine Engine = defaultInterpEngine(),
                        AnalysisManager *AM = nullptr)

@@ -949,7 +949,7 @@ bool srp::jit::compileFunction(NativeCode &NC, const DecodedFunction &DF,
   NC.Buf.reset();
   if (!nativeJitSupported())
     return false;
-  if (DF.NeedsWalk || DF.Empty || DF.Blocks.empty())
+  if (DF.Blocks.empty()) // empty or refused: calling it traps
     return false;
   // Every displacement the templates bake must fit a signed 32-bit
   // immediate with headroom. The interpreter's cell budget keeps running

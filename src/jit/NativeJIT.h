@@ -36,10 +36,10 @@
 /// checks arity, call depth, arena capacity and the cell budget, and
 /// either pushes its own frame or *declines* without side effects, and
 /// the caller takes the engine's call helper, which re-dispatches (native
-/// when hot, bytecode otherwise, walker for undecodable callees) and is
-/// the single place that grows arenas and raises call traps. A directly
-/// called activation that deopts keeps its frame and is finished by the
-/// engine's resume helper in the bytecode loop.
+/// when hot, bytecode otherwise) and is the single place that grows arenas
+/// and raises call traps. A directly called activation that deopts keeps
+/// its frame and is finished by the engine's resume helper in the bytecode
+/// loop.
 ///
 /// Entry from the engine is the mirror image of deopt. A compiled function
 /// can be entered at block 0 (a call) or, *on stack replacement* (OSR), at

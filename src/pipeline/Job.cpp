@@ -7,6 +7,7 @@
 #include "pipeline/Job.h"
 #include "analysis/AnalysisManager.h"
 #include "ir/IRParser.h"
+#include "support/JSON.h"
 #include "support/Statistics.h"
 #include "support/Trace.h"
 #include <algorithm>
@@ -64,10 +65,7 @@ PipelineResult executeJob(const CompileJob &Job) {
 } // namespace
 
 JobResult srp::runCompileJob(const CompileJob &Job) {
-  JobResult Out;
-  Out.Pipeline = executeJob(Job);
-  Out.ReportJson = resultToJson(Out.Pipeline, Job);
-  return Out;
+  return {executeJob(Job)};
 }
 
 uint64_t srp::finalMemoryHash(const ExecutionResult &R) {
@@ -144,13 +142,13 @@ std::string srp::resultToJson(const PipelineResult &R,
   const PipelineOptions &Opts = Job.Opts;
   std::ostringstream OS;
   OS << "{\n"
-     << "  \"file\": \"" << jsonEscape(Job.Name) << "\",\n"
+     << "  \"file\": \"" << json::escape(Job.Name) << "\",\n"
      << "  \"mode\": \"" << promotionModeName(Opts.Mode) << "\",\n"
-     << "  \"entry\": \"" << jsonEscape(Opts.EntryFunction) << "\",\n"
+     << "  \"entry\": \"" << json::escape(Opts.EntryFunction) << "\",\n"
      << "  \"ok\": " << (R.Ok ? "true" : "false") << ",\n"
      << "  \"errors\": [";
   for (size_t I = 0; I != R.Errors.size(); ++I)
-    OS << (I ? ", " : "") << "\"" << jsonEscape(R.Errors[I]) << "\"";
+    OS << (I ? ", " : "") << "\"" << json::escape(R.Errors[I]) << "\"";
   OS << "],\n"
      << "  \"exit_value\": " << R.RunAfter.ExitValue << ",\n"
      << "  \"passes\": " << passRecordsToJson(R.Passes, 1) << ",\n"
@@ -169,10 +167,6 @@ std::string srp::resultToJson(const PipelineResult &R,
      << "    \"decode_cache_hits\": "
      << (R.RunBefore.Interp.DecodeCacheHits +
          R.RunAfter.Interp.DecodeCacheHits)
-     << ",\n"
-     << "    \"walk_fallback_calls\": "
-     << (R.RunBefore.Interp.WalkFallbackCalls +
-         R.RunAfter.Interp.WalkFallbackCalls)
      << ",\n"
      << "    \"functions_compiled\": "
      << (R.RunBefore.Interp.FunctionsCompiled +
@@ -325,16 +319,14 @@ void JobCache::insert(const CompileJob &Job, EntryPtr E) {
 }
 
 JobCache::EntryPtr JobCache::makeEntry(const CompileJob &Job,
-                                       const PipelineResult &R,
-                                       const std::string &ReportJson) {
-  (void)Job;
+                                       const PipelineResult &R) {
   auto E = std::make_shared<Entry>();
   E->Ok = R.Ok;
   E->ExitValue = R.RunAfter.ExitValue;
   E->Output = R.RunAfter.Output;
   E->FinalMemoryHash = finalMemoryHash(R.RunAfter);
   E->Errors = R.Errors;
-  E->ReportJson = ReportJson;
+  E->ReportJson = resultToJson(R, Job);
   if (R.RemarksCaptured)
     E->RemarksJson = remarksToJson(R.Remarks);
   E->TraceJson = R.TraceJson;

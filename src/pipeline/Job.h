@@ -7,7 +7,7 @@
 /// \file
 /// The job API every pipeline entry point consumes: a CompileJob names a
 /// unit of work (source + PipelineOptions), a JobResult carries the run's
-/// PipelineResult plus its serialised report. Three consumers share it:
+/// PipelineResult. Three consumers share it:
 ///
 ///   - the srpc one-shot CLI path (runCompileJob),
 ///   - the parallel workload driver (runPipelineParallel),
@@ -17,10 +17,11 @@
 /// deprecated free runPipeline wrappers (deleted in this change).
 ///
 /// resultToJson builds the `srpc --stats-json` document from a
-/// PipelineResult; the server's wire format embeds the same bytes, so
-/// the CLI report and the remote report are byte-identical by
-/// construction (the schema is pinned by tests/JobTest.cpp and
-/// documented in docs/OBSERVABILITY.md).
+/// PipelineResult, only where someone reads it: srpc under --stats-json,
+/// and JobCache::makeEntry for the server's responses. The server's wire
+/// format embeds the same bytes, so the CLI report and the remote report
+/// are byte-identical by construction (the schema is pinned by
+/// tests/JobTest.cpp and documented in docs/OBSERVABILITY.md).
 ///
 /// JobCache is the process-wide cross-job result cache the server
 /// shares between clients: identical (source, options) submissions are
@@ -63,19 +64,15 @@ struct CompileJob {
   bool WantTrace = false;       ///< capture a per-job Chrome trace
 };
 
-/// What one job produced: the pipeline result plus the serialised
-/// report (the --stats-json document) built by resultToJson.
+/// What one job produced.
 struct JobResult {
   PipelineResult Pipeline;
-  std::string ReportJson;
-  bool CacheHit = false; ///< answered from a JobCache, not a fresh run
 
   bool ok() const { return Pipeline.Ok; }
 };
 
-/// Runs one job through the pipeline (Mini-C or textual IR input) and
-/// builds its report. The one-shot srpc path and the server workers both
-/// funnel through here.
+/// Runs one job through the pipeline (Mini-C or textual IR input). The
+/// one-shot srpc path and the server workers both funnel through here.
 JobResult runCompileJob(const CompileJob &Job);
 
 /// Renders \p R as the `srpc --stats-json` JSON document (multi-line,
@@ -150,9 +147,8 @@ public:
   /// recently used entry when full.
   void insert(const CompileJob &Job, EntryPtr E);
 
-  /// Builds the cacheable slice of a finished job.
-  static EntryPtr makeEntry(const CompileJob &Job, const PipelineResult &R,
-                            const std::string &ReportJson);
+  /// Builds the cacheable slice of a finished job, rendering its report.
+  static EntryPtr makeEntry(const CompileJob &Job, const PipelineResult &R);
 
   JobCacheStats stats() const;
   size_t size() const;

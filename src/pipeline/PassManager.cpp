@@ -7,6 +7,7 @@
 #include "pipeline/PassManager.h"
 #include "ir/Module.h"
 #include "ir/Printer.h"
+#include "support/JSON.h"
 #include "support/Statistics.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
@@ -221,7 +222,7 @@ std::string srp::passRecordsToJson(const std::vector<PassRecord> &Records,
   bool First = true;
   for (const PassRecord &R : Records) {
     OS << (First ? "\n" : ",\n") << Inner << "{\"name\": \""
-       << jsonEscape(R.Name) << "\", \"wall_seconds\": ";
+       << json::escape(R.Name) << "\", \"wall_seconds\": ";
     char Buf[32];
     std::snprintf(Buf, sizeof(Buf), "%.9f", R.WallSeconds);
     OS << Buf << ", \"ran\": " << (R.Ran ? "true" : "false")

@@ -427,8 +427,10 @@ void CompileServer::runJob(const QueuedJob &QJ) {
   JobResult Out = runCompileJob(QJ.Job);
   Span.end();
   const PipelineResult &R = Out.Pipeline;
+  // The report's telemetry is snapshotted before this job's service time
+  // is recorded.
+  JobCache::EntryPtr E = JobCache::makeEntry(QJ.Job, R);
   ServiceMicros.observeSeconds(R.WallSeconds);
-  JobCache::EntryPtr E = JobCache::makeEntry(QJ.Job, R, Out.ReportJson);
   Cache.insert(QJ.Job, E);
   {
     std::lock_guard<std::mutex> Lock(StatsMu);

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Remarks.h"
-#include "support/Statistics.h"
+#include "support/JSON.h"
 #include <sstream>
 
 using namespace srp;
@@ -101,20 +101,20 @@ std::string srp::remarksToJson(const std::vector<Remark> &Remarks,
   for (const Remark &R : Remarks) {
     OS << (FirstRemark ? "\n" : ",\n") << P2 << "{\n"
        << P3 << "\"kind\": \"" << remarkKindName(R.Kind) << "\",\n"
-       << P3 << "\"pass\": \"" << jsonEscape(R.Pass) << "\",\n"
-       << P3 << "\"name\": \"" << jsonEscape(R.Name) << "\"";
+       << P3 << "\"pass\": \"" << json::escape(R.Pass) << "\",\n"
+       << P3 << "\"name\": \"" << json::escape(R.Name) << "\"";
     if (!R.Function.empty())
-      OS << ",\n" << P3 << "\"function\": \"" << jsonEscape(R.Function)
+      OS << ",\n" << P3 << "\"function\": \"" << json::escape(R.Function)
          << "\"";
     if (!R.Interval.empty())
-      OS << ",\n" << P3 << "\"interval\": \"" << jsonEscape(R.Interval)
+      OS << ",\n" << P3 << "\"interval\": \"" << json::escape(R.Interval)
          << "\",\n" << P3 << "\"interval_depth\": " << R.IntervalDepth;
     if (!R.Web.empty())
-      OS << ",\n" << P3 << "\"web\": \"" << jsonEscape(R.Web) << "\"";
+      OS << ",\n" << P3 << "\"web\": \"" << json::escape(R.Web) << "\"";
     OS << ",\n" << P3 << "\"args\": {";
     bool FirstArg = true;
     for (const RemarkArg &A : R.Args) {
-      OS << (FirstArg ? "" : ", ") << "\"" << jsonEscape(A.Key) << "\": ";
+      OS << (FirstArg ? "" : ", ") << "\"" << json::escape(A.Key) << "\": ";
       switch (A.Ty) {
       case RemarkArg::Type::Int:
         OS << A.IntVal;
@@ -123,7 +123,7 @@ std::string srp::remarksToJson(const std::vector<Remark> &Remarks,
         OS << (A.IntVal ? "true" : "false");
         break;
       case RemarkArg::Type::Str:
-        OS << "\"" << jsonEscape(A.StrVal) << "\"";
+        OS << "\"" << json::escape(A.StrVal) << "\"";
         break;
       }
       FirstArg = false;

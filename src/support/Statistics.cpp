@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Statistics.h"
+#include "support/JSON.h"
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -239,38 +240,7 @@ std::string srp::stats::description(const std::string &FullName) {
   return "";
 }
 
-std::string srp::jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
+std::string srp::jsonEscape(const std::string &S) { return json::escape(S); }
 
 namespace {
 
@@ -342,7 +312,7 @@ std::string srp::stats::metricsToJson(const MetricsSnapshot &M,
   bool First = true;
   for (const auto &[Name, Value] : M.Gauges) {
     OS << (First ? "\n" : ",\n")
-       << In2 << "\"" << jsonEscape(Name) << "\": " << Value;
+       << In2 << "\"" << json::escape(Name) << "\": " << Value;
     First = false;
   }
   if (!First)
@@ -352,7 +322,7 @@ std::string srp::stats::metricsToJson(const MetricsSnapshot &M,
   OS << In1 << "\"histograms\": {";
   First = true;
   for (const auto &[Name, H] : M.Histograms) {
-    OS << (First ? "\n" : ",\n") << In2 << "\"" << jsonEscape(Name)
+    OS << (First ? "\n" : ",\n") << In2 << "\"" << json::escape(Name)
        << "\": {\n";
     OS << In3 << "\"count\": " << H.Count << ",\n";
     OS << In3 << "\"sum\": " << H.Sum << ",\n";
@@ -376,7 +346,7 @@ std::string srp::stats::toJson(const StatsSnapshot &S, unsigned Indent) {
   bool First = true;
   for (const auto &[Name, Value] : S) {
     OS << (First ? "\n" : ",\n")
-       << Inner << "\"" << jsonEscape(Name) << "\": " << Value;
+       << Inner << "\"" << json::escape(Name) << "\": " << Value;
     First = false;
   }
   if (!First)

@@ -233,7 +233,8 @@ std::string metricsToJson(const MetricsSnapshot &M, unsigned Indent = 0);
 
 } // namespace stats
 
-/// Escapes \p S for inclusion in a JSON string literal.
+/// json::escape (support/JSON.h), the one JSON string escaper, under the
+/// name the perfbench sources call it by.
 std::string jsonEscape(const std::string &S);
 
 } // namespace srp

@@ -6,11 +6,10 @@
 ///
 /// \file
 /// Minimal monotonic wall-clock timing for the instrumented pass manager
-/// (`--time-passes`). A Timer accumulates across start/stop cycles; a
-/// ScopedTimer charges a scope to a double accumulator. All times are in
-/// seconds. Timers are not thread-safe by themselves — the pass manager
-/// keeps them per-run, and only the statistics registry is shared across
-/// the parallel driver's threads.
+/// (`--time-passes`): a ScopedTimer charges a scope to a double
+/// accumulator. All times are in seconds. Accumulators are not thread-safe
+/// by themselves — the pass manager keeps them per-run, and only the
+/// statistics registry is shared across the parallel driver's threads.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,37 +20,6 @@ namespace srp {
 
 /// Seconds from a monotonic clock (arbitrary epoch).
 double monotonicSeconds();
-
-/// Accumulating stopwatch.
-class Timer {
-  double Accumulated = 0;
-  double StartedAt = 0;
-  bool Running = false;
-
-public:
-  void start() {
-    if (!Running) {
-      StartedAt = monotonicSeconds();
-      Running = true;
-    }
-  }
-  void stop() {
-    if (Running) {
-      Accumulated += monotonicSeconds() - StartedAt;
-      Running = false;
-    }
-  }
-  void reset() {
-    Accumulated = 0;
-    Running = false;
-  }
-  bool running() const { return Running; }
-  /// Total accumulated seconds (including the live interval if running).
-  double seconds() const {
-    return Running ? Accumulated + (monotonicSeconds() - StartedAt)
-                   : Accumulated;
-  }
-};
 
 /// Adds the lifetime of the object to \p Acc, in seconds.
 class ScopedTimer {

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Trace.h"
-#include "support/Statistics.h"
+#include "support/JSON.h"
 #include "support/Timer.h"
 #include <algorithm>
 #include <cstdio>
@@ -223,12 +223,12 @@ void emitTrack(std::ostringstream &OS, bool &First, unsigned Tid,
   };
   comma();
   OS << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": "
-     << Tid << ", \"args\": {\"name\": \"" << srp::jsonEscape(DisplayName)
+     << Tid << ", \"args\": {\"name\": \"" << json::escape(DisplayName)
      << "\"}}";
   uint64_t Seq = 0;
   for (const Event &E : Events) {
     comma();
-    OS << "{\"name\": \"" << srp::jsonEscape(E.Name) << "\", \"cat\": \""
+    OS << "{\"name\": \"" << json::escape(E.Name) << "\", \"cat\": \""
        << E.Cat << "\", \"ph\": \"" << E.Phase << "\", \"ts\": ";
     if (Deterministic)
       OS << Seq++;

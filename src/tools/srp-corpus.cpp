@@ -23,6 +23,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "gen/Corpus.h"
+#include "support/JSON.h"
 #include "support/Options.h"
 #include <cstdio>
 #include <cstdlib>
@@ -44,20 +45,6 @@ void printCoverage(const CorpusReport &R) {
     std::printf(" %s=%llu", K.c_str(),
                 (unsigned long long)R.Coverage.rejection(K));
   std::printf("\n");
-}
-
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    if (C == '\n') {
-      Out += "\\n";
-      continue;
-    }
-    Out += C;
-  }
-  return Out;
 }
 
 void printJson(const CorpusOptions &Opts, const CorpusReport &R) {
@@ -92,8 +79,8 @@ void printJson(const CorpusOptions &Opts, const CorpusReport &R) {
     std::printf("%s\n    {\"seed\": %llu, \"profile\": \"%s\", "
                 "\"signature\": \"%s\", \"detail\": \"%s\"}",
                 First ? "" : ",", (unsigned long long)F.Seed,
-                shapeProfileName(F.Profile), jsonEscape(F.Signature).c_str(),
-                jsonEscape(F.Detail).c_str());
+                shapeProfileName(F.Profile), json::escape(F.Signature).c_str(),
+                json::escape(F.Detail).c_str());
     First = false;
   }
   std::printf("\n  ]\n}\n");

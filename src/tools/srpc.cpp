@@ -531,6 +531,6 @@ int main(int argc, char **argv) {
   // tests/JobTest.cpp; assembled by resultToJson so the server wire
   // format carries the same bytes. Keep stdout pure JSON.
   if (StatsJson)
-    std::fputs(Res.ReportJson.c_str(), stdout);
+    std::fputs(resultToJson(R, Job).c_str(), stdout);
   return 0;
 }

@@ -11,9 +11,9 @@
 /// ExecutionResults — exit value, printed output, dynamic counts, block
 /// and edge frequencies, final memory, and on failing runs the exact trap
 /// message — on every workload x promotion-mode combination and on every
-/// trap path (bounds, wild pointers, stack overflow, arity, use-before-def,
-/// the memory-cell budget, and fuel exhaustion at exact instruction
-/// boundaries). Trap and fuel
+/// trap path (bounds, wild pointers, stack overflow, arity, calls to
+/// functions the decoder refuses, the memory-cell budget, and fuel
+/// exhaustion at exact instruction boundaries). Trap and fuel
 /// cases are where the native tier's deopt machinery must land on the
 /// same instruction the other engines trap at.
 ///
@@ -289,13 +289,13 @@ TEST(InterpParityTest, FrameLocalMemoryOverBudgetIsARunError) {
 }
 
 //===--------------------------------------------------------------------===//
-// Use-before-def (satellite: silent-zero reads are now traps).
+// Refused functions: IR that breaks a rule the decoder checks (only
+// hand-built IR does) traps when called, identically in every engine.
 //===--------------------------------------------------------------------===//
 
 /// Builds: entry --cond--> (def | skip) --> join, where join reads the
-/// value defined only on the `def` arm. With Cond=0 the read is a dynamic
-/// use-before-def. The decoder cannot prove dominance, so the function is
-/// NeedsWalk and both engines route it through the (now trapping) walker.
+/// value defined only on the `def` arm, a use its definition does not
+/// dominate.
 std::unique_ptr<Module> makeUseBeforeDef(int64_t Cond) {
   auto M = std::make_unique<Module>("ubd");
   Function *F = M->createFunction("main", Type::Int);
@@ -319,30 +319,124 @@ std::unique_ptr<Module> makeUseBeforeDef(int64_t Cond) {
   return M;
 }
 
-TEST(InterpParityTest, UseBeforeDefTrapsIdentically) {
-  auto M = makeUseBeforeDef(0);
-  ExecutionResult W = expectParity(*M, "use-before-def");
-  EXPECT_FALSE(W.Ok);
-  EXPECT_EQ(W.Error.rfind("use of undefined value ", 0), 0u) << W.Error;
-  // The decoder refused the function: the bytecode run went via the
-  // walker fallback.
-  ExecutionResult B =
-      Interpreter(*M, DefaultFuel, InterpEngine::Bytecode).run();
-  EXPECT_GE(B.Interp.WalkFallbackCalls, 1u);
+TEST(InterpParityTest, UndominatedUseIsRefusedOnEitherArm) {
+  // Nothing of the function runs, whichever arm the branch would take.
+  for (int64_t Cond : {0, 1}) {
+    auto M = makeUseBeforeDef(Cond);
+    ExecutionResult W =
+        expectParity(*M, "undominated-use cond=" + std::to_string(Cond));
+    EXPECT_FALSE(W.Ok);
+    EXPECT_EQ(W.Error, "cannot execute main: use of %t0 in block 'join' is "
+                       "not dominated by its definition");
+    EXPECT_EQ(W.Counts.Instructions, 0u);
+    EXPECT_TRUE(W.BlockCounts.empty());
+  }
 }
 
-TEST(InterpParityTest, DefinedPathOfUnprovableFunctionStillRuns) {
-  // Same shape, but the defining arm is taken: no trap, value flows.
-  auto M = makeUseBeforeDef(1);
-  ExecutionResult W = expectParity(*M, "use-before-def-defined-path");
+/// Adds `main`, which prints 1 and then calls \p Bad, so every engine runs
+/// code (and the native one compiles main) before the refused call.
+void addMainCalling(Module &M, Function *Bad) {
+  Function *Main = M.createFunction("main", Type::Int);
+  IRBuilder B(Main->createBlock("entry"));
+  B.print(B.constant(1));
+  B.call(Bad, {});
+  B.ret(B.constant(0));
+}
+
+void expectRefusedCall(Module &M, const std::string &Error) {
+  ExecutionResult W = expectParity(M, Error);
+  EXPECT_FALSE(W.Ok);
+  EXPECT_EQ(W.Error, Error);
+  EXPECT_EQ(W.Output, std::vector<int64_t>{1});
+}
+
+TEST(InterpParityTest, PhiWithoutIncomingValueForAPredIsRefused) {
+  auto M = std::make_unique<Module>("phi");
+  Function *F = M->createFunction("bad", Type::Int);
+  BasicBlock *Entry = F->createBlock("entry");
+  BasicBlock *A = F->createBlock("a");
+  BasicBlock *Bb = F->createBlock("b");
+  BasicBlock *Join = F->createBlock("join");
+  IRBuilder B(Entry);
+  B.condBr(B.constant(1), A, Bb);
+  B.setInsertPoint(A);
+  B.br(Join);
+  B.setInsertPoint(Bb);
+  B.br(Join);
+  B.setInsertPoint(Join);
+  PhiInst *P = B.phi(Type::Int, "p");
+  P->addIncoming(B.constant(5), A); // nothing for b
+  B.ret(P);
+  addMainCalling(*M, F);
+  expectRefusedCall(*M, "cannot execute bad: phi %p in block 'join' has no "
+                        "incoming value for block 'b'");
+}
+
+TEST(InterpParityTest, PhiAfterANonPhiIsRefused) {
+  // No edge sets such a phi, so a read of it would see a never-written
+  // register.
+  auto M = std::make_unique<Module>("latephi");
+  Function *F = M->createFunction("bad", Type::Int);
+  BasicBlock *Entry = F->createBlock("entry");
+  BasicBlock *Body = F->createBlock("body");
+  IRBuilder B(Entry);
+  B.br(Body);
+  B.setInsertPoint(Body);
+  B.add(B.constant(1), B.constant(2));
+  PhiInst *P = B.phi(Type::Int, "p");
+  P->addIncoming(B.constant(5), Entry);
+  B.ret(P);
+  addMainCalling(*M, F);
+  expectRefusedCall(*M, "cannot execute bad: phi %p in block 'body' follows "
+                        "a non-phi instruction");
+}
+
+TEST(InterpParityTest, ReachableBlockWithoutTerminatorIsRefused) {
+  auto M = std::make_unique<Module>("noterm");
+  Function *F = M->createFunction("bad", Type::Void);
+  BasicBlock *Entry = F->createBlock("entry");
+  BasicBlock *Open = F->createBlock("open");
+  IRBuilder B(Entry);
+  B.br(Open);
+  B.setInsertPoint(Open);
+  B.print(B.constant(2));
+  addMainCalling(*M, F);
+  expectRefusedCall(*M, "cannot execute bad: block 'open' has no terminator");
+}
+
+TEST(InterpParityTest, LoadOfAnotherFunctionsLocalIsRefused) {
+  auto M = std::make_unique<Module>("foreign");
+  Function *Owner = M->createFunction("owner", Type::Void);
+  MemoryObject *X = Owner->createLocal("x", MemoryObject::Kind::Local);
+  IRBuilder OB(Owner->createBlock("entry"));
+  OB.ret();
+  Function *F = M->createFunction("bad", Type::Int);
+  IRBuilder B(F->createBlock("entry"));
+  B.ret(B.load(X));
+  addMainCalling(*M, F);
+  expectRefusedCall(*M, "cannot execute bad: access to local 'x' of "
+                        "function 'owner'");
+}
+
+TEST(InterpParityTest, RefusedFunctionNeverCalledDoesNotStopTheRun) {
+  // The verdict is checked at the call: decoding stays lazy, and a module
+  // that never calls its refused function runs normally everywhere.
+  auto M = makeUseBeforeDef(1); // its `main` is refused
+  Function *Entry = M->createFunction("entry", Type::Int);
+  IRBuilder B(Entry->createBlock("entry"));
+  B.print(B.constant(3));
+  B.ret(B.constant(7));
+  ExecutionResult W =
+      expectParity(*M, "refused-but-unused", DefaultFuel, "entry");
   ASSERT_TRUE(W.Ok) << W.Error;
-  EXPECT_EQ(W.ExitValue, 42);
+  EXPECT_EQ(W.ExitValue, 7);
+  EXPECT_EQ(W.Output, std::vector<int64_t>{3});
 }
 
 TEST(InterpParityTest, UndefValueStaysDeterministicZero) {
-  // The deterministic-undef exemption: reading UndefValue is NOT
-  // use-before-def; it reads 0 in both engines (and the decoder accepts
-  // the function — no walker fallback).
+  // The deterministic-undef exemption: reading UndefValue is NOT a use
+  // before a definition; the decoder accepts the function and it reads 0
+  // in every engine.
   auto M = std::make_unique<Module>("undef");
   Function *F = M->createFunction("main", Type::Int);
   IRBuilder B(F->createBlock("entry"));
@@ -351,9 +445,6 @@ TEST(InterpParityTest, UndefValueStaysDeterministicZero) {
   ExecutionResult W = expectParity(*M, "undef-reads-zero");
   ASSERT_TRUE(W.Ok) << W.Error;
   EXPECT_EQ(W.ExitValue, 5);
-  ExecutionResult BC =
-      Interpreter(*M, DefaultFuel, InterpEngine::Bytecode).run();
-  EXPECT_EQ(BC.Interp.WalkFallbackCalls, 0u);
 }
 
 //===--------------------------------------------------------------------===//
@@ -472,8 +563,8 @@ TEST(InterpParityTest, PrivateDecodesWithoutManager) {
     int f(int n) { return n * 2; }
     int main() { return f(f(f(1))); }
   )");
-  // No manager: each interpreter instance decodes privately, but within
-  // one run a function is decoded only once however often it is called.
+  // No manager: each run decodes through a manager of its own, and a
+  // function is decoded only once however often it is called.
   ExecutionResult R = Interpreter(*M, DefaultFuel,
                                   InterpEngine::Bytecode).run();
   ASSERT_TRUE(R.Ok) << R.Error;

@@ -41,13 +41,13 @@ CompileJob makeJob(const char *Src, PromotionMode Mode,
 }
 
 TEST(JobTest, RunCompileJobProducesResultAndReport) {
-  JobResult R = runCompileJob(makeJob(CountLoop, PromotionMode::Paper));
+  CompileJob Job = makeJob(CountLoop, PromotionMode::Paper);
+  JobResult R = runCompileJob(Job);
   ASSERT_TRUE(R.ok());
-  EXPECT_FALSE(R.CacheHit);
   ASSERT_EQ(R.Pipeline.RunAfter.Output.size(), 1u);
   EXPECT_EQ(R.Pipeline.RunAfter.Output[0], 45);
   EXPECT_EQ(R.Pipeline.RunAfter.ExitValue, 45);
-  EXPECT_FALSE(R.ReportJson.empty());
+  EXPECT_FALSE(resultToJson(R.Pipeline, Job).empty());
 }
 
 TEST(JobTest, RunCompileJobAcceptsTextualIR) {
@@ -70,15 +70,15 @@ entry:
 }
 
 TEST(JobTest, RunCompileJobReportsFrontendErrors) {
-  JobResult R =
-      runCompileJob(makeJob("void main() { undeclared = 1; }",
-                            PromotionMode::Paper));
+  CompileJob Job =
+      makeJob("void main() { undeclared = 1; }", PromotionMode::Paper);
+  JobResult R = runCompileJob(Job);
   EXPECT_FALSE(R.ok());
   EXPECT_FALSE(R.Pipeline.Errors.empty());
   // Failed jobs still produce a report (ok:false travels in-band).
   json::Value Doc;
   std::string Err;
-  ASSERT_TRUE(json::parse(R.ReportJson, Doc, Err)) << Err;
+  ASSERT_TRUE(json::parse(resultToJson(R.Pipeline, Job), Doc, Err)) << Err;
   EXPECT_FALSE(Doc.get("ok").asBool(true));
   EXPECT_FALSE(Doc.get("errors").items().empty());
 }
@@ -94,7 +94,7 @@ TEST(JobTest, ReportSchemaIsPinned) {
 
   json::Value Doc;
   std::string Err;
-  ASSERT_TRUE(json::parse(R.ReportJson, Doc, Err)) << Err;
+  ASSERT_TRUE(json::parse(resultToJson(R.Pipeline, Job), Doc, Err)) << Err;
   ASSERT_TRUE(Doc.isObject());
 
   const char *TopLevel[] = {"file",     "mode",         "entry",
@@ -117,10 +117,9 @@ TEST(JobTest, ReportSchemaIsPinned) {
   EXPECT_EQ(Doc.get("exit_value").asInt(-1), 45);
 
   for (const char *K : {"engine", "functions_decoded", "decode_cache_hits",
-                        "walk_fallback_calls", "functions_compiled",
-                        "native_calls", "deopts", "decode_seconds",
-                        "compile_seconds", "profile_exec_seconds",
-                        "measure_exec_seconds"})
+                        "functions_compiled", "native_calls", "deopts",
+                        "decode_seconds", "compile_seconds",
+                        "profile_exec_seconds", "measure_exec_seconds"})
     EXPECT_TRUE(Doc.get("interp").has(K)) << "interp." << K;
   for (const char *K : {"strictness", "passes_verified", "checks_run",
                         "diagnostics", "wall_seconds"})
@@ -167,7 +166,7 @@ TEST(JobTest, ValidationSectionReflectsSemanticStrictness) {
 
   json::Value Doc;
   std::string Err;
-  ASSERT_TRUE(json::parse(R.ReportJson, Doc, Err)) << Err;
+  ASSERT_TRUE(json::parse(resultToJson(R.Pipeline, Job), Doc, Err)) << Err;
   const json::Value &V = Doc.get("validation");
   EXPECT_EQ(Doc.get("verification").get("strictness").asString(),
             "semantic");
@@ -176,9 +175,11 @@ TEST(JobTest, ValidationSectionReflectsSemanticStrictness) {
   EXPECT_EQ(V.get("obligations_failed").asInt(-1), 0);
   EXPECT_EQ(V.get("webs_proven").asInt(-1), V.get("webs_checked").asInt(-2));
 
-  JobResult Fast = runCompileJob(makeJob(CountLoop, PromotionMode::Paper));
+  CompileJob FastJob = makeJob(CountLoop, PromotionMode::Paper);
+  JobResult Fast = runCompileJob(FastJob);
   ASSERT_TRUE(Fast.ok());
-  ASSERT_TRUE(json::parse(Fast.ReportJson, Doc, Err)) << Err;
+  ASSERT_TRUE(json::parse(resultToJson(Fast.Pipeline, FastJob), Doc, Err))
+      << Err;
   EXPECT_EQ(Doc.get("validation").get("passes_validated").asInt(-1), 0);
 }
 
@@ -240,7 +241,7 @@ TEST(JobTest, JobCacheHitsAndMisses) {
 
   JobResult R = runCompileJob(Job);
   ASSERT_TRUE(R.ok());
-  Cache.insert(Job, JobCache::makeEntry(Job, R.Pipeline, R.ReportJson));
+  Cache.insert(Job, JobCache::makeEntry(Job, R.Pipeline));
 
   JobCache::EntryPtr E = Cache.lookup(Job);
   ASSERT_NE(E, nullptr);
@@ -249,7 +250,7 @@ TEST(JobTest, JobCacheHitsAndMisses) {
   ASSERT_EQ(E->Output.size(), 1u);
   EXPECT_EQ(E->Output[0], 45);
   EXPECT_EQ(E->FinalMemoryHash, finalMemoryHash(R.Pipeline.RunAfter));
-  EXPECT_EQ(E->ReportJson, R.ReportJson);
+  EXPECT_EQ(E->ReportJson, resultToJson(R.Pipeline, Job));
 
   // A different mode is a different key.
   CompileJob Other = makeJob(CountLoop, PromotionMode::LoopBaseline);

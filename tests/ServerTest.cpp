@@ -183,9 +183,12 @@ TEST(ServerTest, ConcurrentJobsMatchSequentialOneShot) {
   std::vector<CompileJob> Jobs;
   for (int P = 0; P != NumPrograms; ++P)
     for (PromotionMode M : allPromotionModes())
+      // Appended: GCC 12 misreports `"p" + std::string` as -Wrestrict.
       Jobs.push_back(makeJob(overlappingProgram(P), M,
-                             "p" + std::to_string(P) + "-" +
-                                 promotionModeName(M)));
+                             std::string("p")
+                                 .append(std::to_string(P))
+                                 .append("-")
+                                 .append(promotionModeName(M))));
 
   // Sequential ground truth through the same job API the CLI uses.
   struct Expected {
